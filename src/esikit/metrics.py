@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedResultError
+from .errors import NumericalError, ParameterError, UndefinedResultError
 from .geometry import RegionSet
 
 DEFAULT_THRESHOLD = 0.5
@@ -38,7 +38,7 @@ def threshold_active(s_hat, threshold=DEFAULT_THRESHOLD):
     """Regions whose energy reaches ``threshold`` times the max energy."""
     e = region_energy(s_hat)
     if not np.all(np.isfinite(e)):
-        raise ParameterError("estimate contains non-finite values")
+        raise NumericalError("estimate contains non-finite values")
     peak = e.max()
     if peak == 0.0:
         return set()

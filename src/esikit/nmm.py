@@ -3,12 +3,16 @@
 The three-population model is integrated with fixed-step RK4; the external
 firing-rate input p(t) is drawn on a fixed 1 ms grid and held piecewise
 constant, so refining the integration step converges to the same waveform.
+
+Each RK4 step is written out on six Python floats, one oscillator at a time:
+at the 1-3 oscillators a sample needs, that beats a vectorised numpy state,
+and a waveform's bits depend only on its parameters and seed. Datasets are
+generated sample by sample in one thread; the loop holds the GIL, so threads
+would not run it any faster.
 """
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
@@ -84,14 +88,6 @@ class PairedSample:
     config: SimulationConfig
 
 
-def _sigmoid_rate(v, e0, v0, r_sig):
-    # clamp the exponent; the sigmoid saturates long before overflow
-    z = r_sig * (v0 - v)
-    if z > 500.0:
-        return 0.0
-    return 2.0 * e0 / (1.0 + math.exp(z))
-
-
 def simulate_jansen_rit(params, n_timepoints, sample_rate, seed):
     """Pyramidal membrane potential y1 - y2, mean-centered, at sample_rate."""
     if sample_rate < 100.0:
@@ -107,15 +103,39 @@ def simulate_jansen_rit(params, n_timepoints, sample_rate, seed):
         pulses = rng.random(n_inputs) < p.input_pulse_rate * INPUT_DT
         drive = drive + p.input_pulse_amp * pulses
     drive = drive.tolist()
+    # Loop-invariant factors are hoisted without changing the association of
+    # any product, so the waveform keeps the bits of the textbook form
+    #   y0' = y3, y1' = y4, y2' = y5,
+    #   y3' = A a S(y1 - y2) - 2 a y3 - a^2 y0,
+    #   y4' = A a (p + C2 S(C1 y0)) - 2 a y4 - a^2 y1,
+    #   y5' = B b C4 S(C3 y0) - 2 b y5 - b^2 y2,
+    # with S(v) = 2 e0 / (1 + exp(r (v0 - v))).
     A, B, a, b = p.A, p.B, p.a, p.b
-    e0, v0, rs = p.e0, p.v0, p.r_sig
+    e0_2, v0, rs = 2.0 * p.e0, p.v0, p.r_sig
     c1 = p.C
     c2 = p.c2_factor * p.C
     c3 = c4 = 0.25 * p.C
-    Aa, Bb = A * a, B * b
+    Aa, Bbc4 = A * a, B * b * c4
+    a_2, b_2 = 2.0 * a, 2.0 * b
     a2, b2 = a * a, b * b
     dt = p.dt
-    sig = _sigmoid_rate
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    exp = math.exp
+
+    def accel(d, u0, u1, u2, u3, u4, u5):
+        # (y3', y4', y5'); S clamps to 0 where its exponent exceeds 500,
+        # since the sigmoid saturates long before exp overflows
+        z = rs * (v0 - (u1 - u2))
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f3 = Aa * s - a_2 * u3 - a2 * u0
+        z = rs * (v0 - c1 * u0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f4 = Aa * (d + c2 * s) - a_2 * u4 - a2 * u1
+        z = rs * (v0 - c3 * u0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f5 = Bbc4 * s - b_2 * u5 - b2 * u2
+        return f3, f4, f5
+
     y0 = y1 = y2 = y3 = y4 = y5 = 0.0
     steps_per_sample = 1.0 / (sample_rate * dt)
     next_sample = p.burn_in / dt
@@ -126,23 +146,31 @@ def simulate_jansen_rit(params, n_timepoints, sample_rate, seed):
             samples.append(y1 - y2)
             next_sample += steps_per_sample
         d = drive[int(k * dt_over_input)]
-
-        def derivs(u0, u1, u2, u3, u4, u5):
-            return (
-                u3, u4, u5,
-                Aa * sig(u1 - u2, e0, v0, rs) - 2.0 * a * u3 - a2 * u0,
-                Aa * (d + c2 * sig(c1 * u0, e0, v0, rs)) - 2.0 * a * u4 - a2 * u1,
-                Bb * c4 * sig(c3 * u0, e0, v0, rs) - 2.0 * b * u5 - b2 * u2,
-            )
-
-        k1 = derivs(y0, y1, y2, y3, y4, y5)
-        k2 = derivs(*(s + 0.5 * dt * q for s, q in zip((y0, y1, y2, y3, y4, y5), k1)))
-        k3 = derivs(*(s + 0.5 * dt * q for s, q in zip((y0, y1, y2, y3, y4, y5), k2)))
-        k4 = derivs(*(s + dt * q for s, q in zip((y0, y1, y2, y3, y4, y5), k3)))
-        y0, y1, y2, y3, y4, y5 = (
-            s + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-            for s, q1, q2, q3, q4 in zip((y0, y1, y2, y3, y4, y5), k1, k2, k3, k4)
-        )
+        # RK4 stage j > 1 evaluates accel at positions y0..y2 + h * (stage
+        # j-1 velocities) and velocities v*_j = y3..y5 + h * (stage j-1
+        # accelerations f*_{j-1}), with h = dt/2, dt/2, dt
+        f3_1, f4_1, f5_1 = accel(d, y0, y1, y2, y3, y4, y5)
+        v3_2 = y3 + half_dt * f3_1
+        v4_2 = y4 + half_dt * f4_1
+        v5_2 = y5 + half_dt * f5_1
+        f3_2, f4_2, f5_2 = accel(d, y0 + half_dt * y3, y1 + half_dt * y4,
+                                 y2 + half_dt * y5, v3_2, v4_2, v5_2)
+        v3_3 = y3 + half_dt * f3_2
+        v4_3 = y4 + half_dt * f4_2
+        v5_3 = y5 + half_dt * f5_2
+        f3_3, f4_3, f5_3 = accel(d, y0 + half_dt * v3_2, y1 + half_dt * v4_2,
+                                 y2 + half_dt * v5_2, v3_3, v4_3, v5_3)
+        v3_4 = y3 + dt * f3_3
+        v4_4 = y4 + dt * f4_3
+        v5_4 = y5 + dt * f5_3
+        f3_4, f4_4, f5_4 = accel(d, y0 + dt * v3_3, y1 + dt * v4_3,
+                                 y2 + dt * v5_3, v3_4, v4_4, v5_4)
+        y0 += sixth_dt * (y3 + 2.0 * v3_2 + 2.0 * v3_3 + v3_4)
+        y1 += sixth_dt * (y4 + 2.0 * v4_2 + 2.0 * v4_3 + v4_4)
+        y2 += sixth_dt * (y5 + 2.0 * v5_2 + 2.0 * v5_3 + v5_4)
+        y3 += sixth_dt * (f3_1 + 2.0 * f3_2 + 2.0 * f3_3 + f3_4)
+        y4 += sixth_dt * (f4_1 + 2.0 * f4_2 + 2.0 * f4_3 + f4_4)
+        y5 += sixth_dt * (f5_1 + 2.0 * f5_2 + 2.0 * f5_3 + f5_4)
         if abs(y0) > 1e6 or abs(y1) > 1e6 or abs(y2) > 1e6:
             raise InstabilityError(
                 f"Jansen-Rit integration blew up at t={k * dt:.4f}s with {params}"
@@ -277,33 +305,21 @@ def load_sample(meta_path):
 def generate_dataset(space, lf, cfg_grid, n_samples, out_dir, seed_base=0):
     """Write n_samples per grid cell plus a manifest with the 10:1:1 split.
 
-    Per-sample seeds are seed_base + running index, so generation is
-    deterministic and order-independent across workers.
+    Per-sample seeds are seed_base + running index, so each sample's bytes
+    depend only on its config, never on the samples generated before it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
+    entries = []
     index = 0
     for cell, base_cfg in enumerate(cfg_grid):
         for i in range(n_samples):
             cfg = replace(base_cfg, seed=seed_base + index)
-            stem = out_dir / f"sample_{cell:03d}_{i:06d}"
-            jobs.append((stem, cfg, split_for_index(i)))
+            sample = simulate_sample(space, lf, cfg)
+            meta_path = save_sample(sample, out_dir / f"sample_{cell:03d}_{i:06d}")
+            entries.append({"path": meta_path.name, "split": split_for_index(i),
+                            "config": _config_dict(cfg)})
             index += 1
-
-    def run(job):
-        stem, cfg, split = job
-        sample = simulate_sample(space, lf, cfg)
-        meta_path = save_sample(sample, stem)
-        return {"path": meta_path.name, "split": split,
-                "config": _config_dict(cfg)}
-
-    workers = int(os.environ.get("ESI_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run, jobs))
-    else:
-        entries = [run(job) for job in jobs]
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(entries, indent=2, sort_keys=True))
     return manifest_path

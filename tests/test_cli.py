@@ -100,6 +100,18 @@ def test_eval_fair_requires_checkpoint(experiment, tmp_path):
                  "--out", str(tmp_path / "e")]) == 2
 
 
+def test_eval_non_finite_estimate_is_numerical_error(experiment, tmp_path,
+                                                    monkeypatch):
+    _, config, _ = experiment
+
+    def nan_solve(lf, X, lam):
+        return np.full((lf.matrix.shape[1], X.shape[1]), np.nan)
+
+    monkeypatch.setattr("esikit.cli.sloreta_solve", nan_solve)
+    assert main(["eval", "--config", str(config), "--solver", "sloreta",
+                 "--out", str(tmp_path / "e")]) == 4
+
+
 def test_localize_outputs(experiment, tmp_path):
     _, config, doc = experiment
     run = Path(doc["paths"]["workdir"])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from esikit.errors import ParameterError, UndefinedResultError
+from esikit.errors import NumericalError, ParameterError, UndefinedResultError
 from esikit.geometry import RegionSet, SourceSpace, build_synthetic_source_space
 from esikit.metrics import (
     MetricReport,
@@ -210,6 +210,16 @@ def test_evaluate_zero_estimate_flagged():
     assert report.undefined_le_sd
     assert report.le_mm is None and report.sd_mm is None
     assert report.nmse == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evaluate_non_finite_estimate_is_numerical_error():
+    space = build_synthetic_source_space(8, 2, seed=0)
+    s = np.zeros((8, 32))
+    s[3] = 1.0
+    s_hat = s.copy()
+    s_hat[5, 7] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        evaluate(s_hat, make_sample(space, s, [3]), space)
 
 
 def test_aggregate_hand_computed():
