@@ -4,6 +4,10 @@ Each primitive is a forward computation plus a hand-derived vector-Jacobian
 product; :class:`Var` only records the call order so backward replays the
 VJPs. All math runs in float64. A central-difference checker
 (:func:`grad_check`) guards every gradient.
+
+Transforms use ``np.fft``. Scatters (the conv adjoint ``col2im`` and
+overlap-add) are strided slice-adds made in a fixed order, so their sums
+equal an ``np.add.at`` over the same flattened index bit for bit.
 """
 
 import numpy as np
@@ -160,10 +164,19 @@ def concat(parts, axis):
 
 def getitem(x, key):
     x = as_var(x)
+    # a basic key (slices, ints, Ellipsis, None) selects each element at most
+    # once; an advanced key may repeat positions, whose gradients add up
+    parts = key if isinstance(key, tuple) else (key,)
+    basic = all(k is None or k is Ellipsis
+                or (isinstance(k, (slice, int, np.integer)) and not isinstance(k, bool))
+                for k in parts)
 
     def vjp(g):
         gx = np.zeros(x.shape)
-        np.add.at(gx, key, g)
+        if basic:
+            gx[key] = g
+        else:
+            np.add.at(gx, key, g)
         return (gx,)
 
     return Var(x.data[key], (x,), vjp)
@@ -273,58 +286,36 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# radix-2 FFT (forward/backward are both expressed through the same core)
+# FFT (numpy's pocketfft; the VJPs below are hand-derived)
 
 
-def _fft_core(re, im, sign):
-    """Iterative radix-2 FFT over the last axis; sign=-1 forward, +1 inverse
-    (inverse here is unscaled; callers divide by l)."""
-    l = re.shape[-1]
+def _check_fft_length(l):
     if l & (l - 1) or l == 0:
         raise ParameterError(f"FFT length must be a power of two, got {l}")
-    levels = l.bit_length() - 1
-    idx = np.arange(l)
-    rev = np.zeros(l, dtype=np.intp)
-    for b in range(levels):
-        rev |= ((idx >> b) & 1) << (levels - 1 - b)
-    re = np.array(re[..., rev], dtype=np.float64)
-    im = np.array(im[..., rev], dtype=np.float64)
-    size = 2
-    while size <= l:
-        half = size // 2
-        k = np.arange(half)
-        ang = sign * 2.0 * np.pi * k / size
-        wr, wi = np.cos(ang), np.sin(ang)
-        re_blocks = re.reshape(re.shape[:-1] + (l // size, size))
-        im_blocks = im.reshape(im.shape[:-1] + (l // size, size))
-        er, ei = re_blocks[..., :half], im_blocks[..., :half]
-        orr, oi = re_blocks[..., half:], im_blocks[..., half:]
-        tr = orr * wr - oi * wi
-        ti = orr * wi + oi * wr
-        re = np.concatenate([er + tr, er - tr], axis=-1).reshape(re.shape)
-        im = np.concatenate([ei + ti, ei - ti], axis=-1).reshape(im.shape)
-        size *= 2
-    return re, im
 
 
 def fft_arrays(x):
     """Forward DFT of a real array over its last axis -> (re, im)."""
     x = np.asarray(x, dtype=np.float64)
-    return _fft_core(x, np.zeros_like(x), -1.0)
+    _check_fft_length(x.shape[-1])
+    f = np.fft.fft(x)
+    return f.real.copy(), f.imag.copy()
+
+
+def _ifft_complex(re, im):
+    re = np.asarray(re, dtype=np.float64)
+    _check_fft_length(re.shape[-1])
+    return np.fft.ifft(re + 1j * np.asarray(im, dtype=np.float64))
 
 
 def ifft_arrays(re, im):
     """Real part of the inverse DFT over the last axis."""
-    rr, _ = _fft_core(np.asarray(re, dtype=np.float64),
-                      np.asarray(im, dtype=np.float64), +1.0)
-    return rr / re.shape[-1]
+    return _ifft_complex(re, im).real.copy()
 
 
 def ifft_imag_residue(re, im):
     """L2 norm of the discarded imaginary part of the inverse transform."""
-    _, ii = _fft_core(np.asarray(re, dtype=np.float64),
-                      np.asarray(im, dtype=np.float64), +1.0)
-    return float(np.linalg.norm(ii / re.shape[-1]))
+    return float(np.linalg.norm(_ifft_complex(re, im).imag))
 
 
 def fft(x):
@@ -363,33 +354,37 @@ def _conv_out_size(h, kh, stride, pad):
     return (h + 2 * pad - kh) // stride + 1
 
 
-def _conv_index(h, w, kh, kw, stride, pad):
+def _conv_taps(h, w, kh, kw, stride, pad):
+    """Output size, padding and, for each kernel tap ``k = i*kw + j`` in
+    row-major order, the strided (rows, cols) slices of the padded input
+    that the tap reads."""
     (sh, sw), (ph, pw) = _pair(stride), _pair(pad)
     ho = _conv_out_size(h, kh, sh, ph)
     wo = _conv_out_size(w, kw, sw, pw)
-    i0 = sh * np.repeat(np.arange(ho), wo)
-    j0 = sw * np.tile(np.arange(wo), ho)
-    di = np.repeat(np.arange(kh), kw)
-    dj = np.tile(np.arange(kw), kh)
-    rows = i0[None, :] + di[:, None]          # (kh*kw, ho*wo)
-    cols = j0[None, :] + dj[:, None]
-    return rows, cols, ho, wo, ph, pw
+    taps = [(slice(i, i + sh * (ho - 1) + 1, sh), slice(j, j + sw * (wo - 1) + 1, sw))
+            for i in range(kh) for j in range(kw)]
+    return taps, ho, wo, ph, pw
 
 
 def _im2col(x, kh, kw, stride, pad):
     b, c, h, w = x.shape
-    rows, cols, ho, wo, ph, pw = _conv_index(h, w, kh, kw, stride, pad)
+    taps, ho, wo, ph, pw = _conv_taps(h, w, kh, kw, stride, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    patches = xp[:, :, rows, cols]            # (b, c, kh*kw, ho*wo)
+    patches = np.empty((b, c, kh * kw, ho, wo))
+    for k, (rows, cols) in enumerate(taps):
+        patches[:, :, k] = xp[:, :, rows, cols]
     return patches.reshape(b, c * kh * kw, ho * wo), (ho, wo)
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad):
+    # taps are added in k order, the order a scatter over the flattened
+    # (k, position) index uses, so every sum is bit-identical to np.add.at
     b, c, h, w = x_shape
-    rows, colsx, ho, wo, ph, pw = _conv_index(h, w, kh, kw, stride, pad)
+    taps, ho, wo, ph, pw = _conv_taps(h, w, kh, kw, stride, pad)
     xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-    cols = cols.reshape(b, c, kh * kw, ho * wo)
-    np.add.at(xp, (slice(None), slice(None), rows, colsx), cols)
+    cols = cols.reshape(b, c, kh * kw, ho, wo)
+    for k, (rows, colsx) in enumerate(taps):
+        xp[:, :, rows, colsx] += cols[:, :, k]
     return xp[:, :, ph:h + ph, pw:w + pw]
 
 
@@ -459,17 +454,24 @@ def transpose_conv2d(y, kernel, stride=1, padding=0):
 # overlap-add (linear scatter of windows back onto a time axis)
 
 
+def overlap_add_arrays(windows, stride, n_out):
+    """Add windows (..., n_p, l) onto a length-``n_out`` axis at starts
+    ``stride * p``, in patch order."""
+    n_p, l = windows.shape[-2], windows.shape[-1]
+    if stride * (n_p - 1) + l > n_out:
+        raise ParameterError("overlap_add: windows overrun the output axis")
+    out = np.zeros(windows.shape[:-2] + (n_out,))
+    for p in range(n_p):
+        out[..., stride * p:stride * p + l] += windows[..., p, :]
+    return out
+
+
 def overlap_add(grid, stride, n_out):
     """Scatter windows (..., n_p, l) onto a length-``n_out`` axis by addition."""
     grid = as_var(grid)
+    out = overlap_add_arrays(grid.data, stride, n_out)
     n_p, l = grid.shape[-2], grid.shape[-1]
-    if stride * (n_p - 1) + l > n_out:
-        raise ParameterError("overlap_add: windows overrun the output axis")
-    starts = stride * np.arange(n_p)
-    pos = starts[:, None] + np.arange(l)[None, :]       # (n_p, l)
-    out = np.zeros(grid.shape[:-2] + (n_out,))
-    np.add.at(out, (..., pos.ravel()),
-              grid.data.reshape(grid.shape[:-2] + (n_p * l,)))
+    pos = stride * np.arange(n_p)[:, None] + np.arange(l)[None, :]   # (n_p, l)
 
     def vjp(g):
         return (g[..., pos],)

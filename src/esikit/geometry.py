@@ -77,14 +77,13 @@ def _fibonacci_sphere(n, radius):
 
 
 def build_synthetic_source_space(n_regions, k_neighbors, seed):
-    """Deterministic spherical source space with a symmetrized k-NN graph."""
+    """Deterministic spherical source space with a symmetrized k-NN graph
+    (the lattice has no random part; ``seed`` draws nothing)."""
     if n_regions < 8:
         raise ParameterError(f"n_regions must be >= 8, got {n_regions}")
     if not (1 <= k_neighbors < n_regions):
         raise ParameterError(f"k_neighbors must be in [1, {n_regions}), got {k_neighbors}")
     centroids = _fibonacci_sphere(n_regions, SOURCE_RADIUS_MM)
-    # seed reserved for future jitter; lattice itself is deterministic
-    _ = np.random.Generator(np.random.PCG64(seed))
     d2 = np.sum((centroids[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
     neighbors = [set() for _ in range(n_regions)]

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import overlap_add_arrays
 from .errors import DataError, FormatError, ParameterError
 
 
@@ -56,24 +57,15 @@ def merge_patches(grid):
     p = grid.patches
     if p.shape[-1] != grid.l:
         raise FormatError("PatchGrid metadata disagrees with patch array")
-    n_p = p.shape[-2]
-    n_pad = grid.stride * (n_p - 1) + grid.l
-    out = np.zeros(p.shape[:-2] + (n_pad,))
-    cov = np.zeros(n_pad)
-    idx = grid.stride * np.arange(n_p)[:, None] + np.arange(grid.l)[None, :]
-    np.add.at(out, (..., idx.ravel()), p.reshape(p.shape[:-2] + (n_p * grid.l,)))
-    np.add.at(cov, idx.ravel(), np.ones(n_p * grid.l))
-    out = out / cov
+    cov = coverage_counts(p.shape[-2], grid.l, grid.stride)
+    out = overlap_add_arrays(p, grid.stride, cov.size) / cov
     return out[..., :grid.n_timepoints_original]
 
 
 def coverage_counts(n_patches, l, stride):
     """How many windows cover each padded time sample."""
     n_pad = stride * (n_patches - 1) + l
-    cov = np.zeros(n_pad)
-    idx = stride * np.arange(n_patches)[:, None] + np.arange(l)[None, :]
-    np.add.at(cov, idx.ravel(), np.ones(n_patches * l))
-    return cov
+    return overlap_add_arrays(np.ones((n_patches, l)), stride, n_pad)
 
 
 def normalize_fragment(x):

@@ -64,6 +64,10 @@ def test_fft_batched_leading_axes():
 def test_fft_rejects_non_power_of_two():
     with pytest.raises(ParameterError):
         ad.fft_arrays(np.zeros(12))
+    with pytest.raises(ParameterError):
+        ad.ifft_arrays(np.zeros(12), np.zeros(12))
+    with pytest.raises(ParameterError):
+        ad.ifft_imag_residue(np.zeros(12), np.zeros(12))
 
 
 def test_ifft_imag_residue_zero_for_real_signal_spectrum():
@@ -159,6 +163,66 @@ def test_transpose_conv_is_adjoint(stride, padding):
     assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(lhs))
 
 
+# reference scatters: the np.add.at index math the slice-add kernels replace
+
+
+def _ref_col2im(cols, x_shape, kh, kw, stride, pad):
+    b, c, h, w = x_shape
+    (sh, sw), (ph, pw) = ad._pair(stride), ad._pair(pad)
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
+    rows = sh * np.repeat(np.arange(ho), wo)[None, :] + np.repeat(np.arange(kh), kw)[:, None]
+    colsx = sw * np.tile(np.arange(wo), ho)[None, :] + np.tile(np.arange(kw), kh)[:, None]
+    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+    np.add.at(xp, (slice(None), slice(None), rows, colsx),
+              cols.reshape(b, c, kh * kw, ho * wo))
+    return xp[:, :, ph:h + ph, pw:w + pw]
+
+
+def _ref_overlap_add(grid, stride, n_out):
+    n_p, l = grid.shape[-2:]
+    pos = stride * np.arange(n_p)[:, None] + np.arange(l)[None, :]
+    out = np.zeros(grid.shape[:-2] + (n_out,))
+    np.add.at(out, (..., pos.ravel()), grid.reshape(grid.shape[:-2] + (n_p * l,)))
+    return out
+
+
+# (conv input shape, kernel shape, stride, padding)
+SCATTER_CASES = [
+    ((2, 32, 32, 15), (64, 32, 3, 3), 1, 1),         # refinement conv pair
+    ((2, 1, 66, 128), (1, 1, 4, 1), (2, 1), 0),      # head upsampler
+    ((2, 3, 9, 10), (4, 3, 3, 2), 2, 1),             # non-square kernel, stride 2
+]
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride,padding", SCATTER_CASES)
+def test_col2im_bit_identical_to_scatter(x_shape, k_shape, stride, padding):
+    rng = np.random.Generator(np.random.PCG64(5))
+    x = rng.standard_normal(x_shape)
+    k = rng.standard_normal(k_shape)
+    co, ci, kh, kw = k_shape
+    w2 = k.reshape(co, ci * kh * kw)
+    xv = ad.Var(x)
+    y = ad.conv2d(xv, k, stride=stride, padding=padding)
+    g = rng.standard_normal(y.shape)
+    y.backward(g)
+    g2 = g.reshape(x_shape[0], co, -1)
+    ref_gx = _ref_col2im(np.matmul(w2.T, g2), x_shape, kh, kw, stride, padding)
+    assert np.array_equal(xv.grad, ref_gx)
+    # transpose_conv2d's forward is the same scatter of the same columns
+    out = ad.transpose_conv2d(g, k, stride=stride, padding=padding).data
+    assert np.array_equal(out, ref_gx)
+
+
+@pytest.mark.parametrize("n_p,l,stride,extra", [(6, 4, 2, 0), (5, 4, 4, 0), (7, 8, 3, 5)])
+def test_overlap_add_bit_identical_to_scatter(n_p, l, stride, extra):
+    rng = np.random.Generator(np.random.PCG64(n_p))
+    grid = rng.standard_normal((2, 3, n_p, l))
+    n_out = stride * (n_p - 1) + l + extra
+    out = ad.overlap_add(grid, stride, n_out).data
+    assert np.array_equal(out, _ref_overlap_add(grid, stride, n_out))
+
+
 def test_conv2d_channel_mismatch():
     with pytest.raises(ParameterError):
         ad.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)))
@@ -204,6 +268,18 @@ def test_grad_structural_ops():
     assert ad.grad_check(
         lambda v: _sq(ad.broadcast_to(ad.reshape(v, (2, 3, 4, 1)), (2, 3, 4, 5))),
         [x]) < 1e-7
+
+
+def test_getitem_repeated_advanced_index_accumulates():
+    x = ad.Var(np.array([1.0, 2.0, 3.0]))
+    ad.vsum(x[[0, 0, 2]]).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+
+def test_grad_getitem_basic_and_advanced_keys():
+    x = RNG.standard_normal((3, 4, 5))
+    assert ad.grad_check(lambda v: _sq(v[1, :, None, 1:4:2]), [x]) < 1e-7
+    assert ad.grad_check(lambda v: _sq(v[:, [0, 2, 2], 1:]), [x]) < 1e-7
 
 
 def test_grad_take_along():
