@@ -13,7 +13,7 @@ from pathlib import Path
 from esikit import metrics as mx
 from esikit.geometry import build_lead_field, build_synthetic_source_space
 from esikit.model import FairConfig, forward, load_checkpoint, train
-from esikit.nmm import SimulationConfig, generate_dataset, load_manifest, load_sample
+from esikit.nmm import SimulationConfig, generate_dataset, iter_split, load_manifest
 from esikit.sloreta import sloreta_solve
 
 workdir = Path(tempfile.mkdtemp(prefix="esikit_demo_"))
@@ -35,10 +35,7 @@ for epoch, tr, va, lr in result.history:
 
 params, cfg, _, _ = load_checkpoint(result.checkpoint_dir)
 reports = {"learned": [], "sloreta": []}
-for e in entries:
-    if e["split"] != "test":
-        continue
-    sample = load_sample(e["path"])
+for sample in iter_split(entries, "test"):
     reports["learned"].append(
         mx.evaluate(forward(sample.X, params, cfg).data, sample, space))
     reports["sloreta"].append(

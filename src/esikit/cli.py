@@ -29,14 +29,9 @@ from .geometry import (
     save_lead_field,
     save_source_space,
 )
-from .nmm import (
-    SimulationConfig,
-    generate_dataset,
-    load_manifest,
-    load_sample,
-)
+from .nmm import SimulationConfig, generate_dataset, iter_split, load_manifest
 from .plotting import topography_svg
-from .sloreta import sloreta_solve
+from .sloreta import DEFAULT_LAMBDA, sloreta_solve
 from .tensorio import load_tensor, save_tensor
 
 EXIT_VALIDATION = 2
@@ -48,7 +43,7 @@ _GRID_CELL = {
     "additionalProperties": False,
     "required": ["snr_db", "n_sources", "extent"],
     "properties": {
-        "snr_db": {"type": ["number", "string"]},
+        "snr_db": {"anyOf": [{"type": "number"}, {"const": "inf"}]},
         "n_sources": {"type": "integer", "minimum": 1},
         "extent": {"type": "integer", "minimum": 1},
     },
@@ -95,7 +90,6 @@ CONFIG_SCHEMA = {
                 "n_blocks": {"type": "integer", "minimum": 1},
                 "attention_dim": {"type": "integer", "minimum": 1},
                 "mlp_hidden": {"type": "integer", "minimum": 1},
-                "gru_hidden": {"type": "integer", "minimum": 0},
                 "batch_size": {"type": "integer", "minimum": 1},
                 "lr": {"type": "number", "exclusiveMinimum": 0},
                 "weight_decay": {"type": "number", "minimum": 0},
@@ -179,11 +173,11 @@ def cmd_simulate(doc, out):
     sim = doc["simulation"]
     grid = []
     for cell in sim["grid"]:
-        snr = float("inf") if cell["snr_db"] == "inf" else float(cell["snr_db"])
         grid.append(SimulationConfig(
-            snr_db=snr, n_sources=cell["n_sources"], extent=cell["extent"],
-            n_timepoints=sim["n_timepoints"], sample_rate=sim["sample_rate"],
-            seed=0, preset=sim.get("preset", "alpha")))
+            snr_db=float(cell["snr_db"]), n_sources=cell["n_sources"],
+            extent=cell["extent"], n_timepoints=sim["n_timepoints"],
+            sample_rate=sim["sample_rate"], seed=0,
+            preset=sim.get("preset", "alpha")))
     manifest = generate_dataset(space, lf, grid, sim["n_samples_per_cell"],
                                 out_dir, seed_base=doc["seed"] * 100003)
     for i, cell in enumerate(sim["grid"]):
@@ -192,65 +186,40 @@ def cmd_simulate(doc, out):
     return manifest
 
 
-def cmd_train(doc, manifest_path, out):
-    out_dir = _workdir(doc, out)
+def cmd_train(doc, manifest_path, out, checkpoint=None):
+    """Train from scratch, or continue from ``checkpoint``'s epoch, params
+    and Adam state, appending to the loss log."""
     entries = load_manifest(manifest_path)
-    cfg = _model_config(doc)
-    training = doc.get("training", {})
-    result = fm.train(
-        entries, cfg,
-        epochs=training.get("epochs", 30),
-        seed=doc["seed"],
-        out_dir=out_dir,
-        plateau_patience=training.get("plateau_patience", 3),
-        lr_floor=training.get("lr_floor", 1e-6),
-    )
-    print(f"best val loss: {result.best_val:.6e}")
+    if checkpoint:
+        params, cfg, epoch, adam_state = fm.load_checkpoint(checkpoint)
+        resume = {"start_epoch": epoch or 0, "params": params,
+                  "adam_state": adam_state}
+    else:
+        cfg, resume = _model_config(doc), {}
+    result = fm.train(entries, cfg, seed=doc["seed"],
+                      out_dir=_workdir(doc, out), **resume, **doc["training"])
+    resumed = f"resumed at epoch {epoch}; " if checkpoint else ""
+    print(f"{resumed}best val loss: {result.best_val:.6e}")
     print(f"checkpoint: {result.checkpoint_dir}")
     print(f"log: {result.log_path}")
     return result
 
 
-def cmd_train_resume(doc, manifest_path, out, checkpoint):
-    out_dir = _workdir(doc, out)
-    entries = load_manifest(manifest_path)
-    params, cfg, epoch, adam_state = fm.load_checkpoint(checkpoint)
-    training = doc.get("training", {})
-    result = fm.train(
-        entries, cfg,
-        epochs=training.get("epochs", 30),
-        seed=doc["seed"],
-        out_dir=out_dir,
-        start_epoch=epoch or 0,
-        params=params,
-        adam_state=adam_state,
-        plateau_patience=training.get("plateau_patience", 3),
-        lr_floor=training.get("lr_floor", 1e-6),
-    )
-    print(f"resumed at epoch {epoch}; best val loss: {result.best_val:.6e}")
-    return result
-
-
 def _eval_solver(name, entries, doc, space, lf, checkpoint):
-    evaluation = doc.get("evaluation", {})
+    evaluation = doc["evaluation"]
     threshold = evaluation.get("threshold", mx.DEFAULT_THRESHOLD)
+    lam = evaluation.get("sloreta_lambda", DEFAULT_LAMBDA)
     if name == "fair":
         if not checkpoint:
             raise ParameterError("fair solver needs --checkpoint")
         params, cfg, _, _ = fm.load_checkpoint(checkpoint)
     reports = []
-    for e in entries:
-        if e["split"] != "test":
-            continue
-        sample = load_sample(e["path"])
+    for sample in iter_split(entries, "test"):
         if name == "fair":
             s_hat = fm.forward(sample.X, params, cfg).data
         else:
-            s_hat = sloreta_solve(lf, sample.X,
-                                  evaluation.get("sloreta_lambda", 0.05))
+            s_hat = sloreta_solve(lf, sample.X, lam)
         reports.append(mx.evaluate(s_hat, sample, space, threshold))
-    if not reports:
-        raise DataError("manifest has no test samples")
     return reports
 
 
@@ -335,10 +304,7 @@ def main(argv=None):
             cmd_simulate(doc, args.out)
         elif args.command == "train":
             manifest = args.manifest or workdir / "manifest.json"
-            if args.checkpoint:
-                cmd_train_resume(doc, manifest, args.out, args.checkpoint)
-            else:
-                cmd_train(doc, manifest, args.out)
+            cmd_train(doc, manifest, args.out, args.checkpoint)
         elif args.command == "eval":
             manifest = args.manifest or workdir / "manifest.json"
             solvers = ["fair", "sloreta"] if args.solver == "both" else [args.solver]

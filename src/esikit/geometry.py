@@ -7,7 +7,7 @@ perturbation and unit-normalized columns.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -13,7 +13,7 @@ a BiGRU over time.
 
 import csv
 import json
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .errors import ConfigError, DataError, DivergenceError, ParameterError
-from .nmm import load_sample
+from .nmm import iter_split
 from .optim import AdamState, adam_step, load_adam_state, save_adam_state
-from .patches import coverage_counts, extract_patches, normalize_fragment, padded_length
+from .patches import coverage_counts, extract_patches, padded_length
 from .tensorio import load_tensor_dir, save_tensor_dir
 
 
@@ -39,7 +39,6 @@ class FairConfig:
     n_blocks: int = 1
     attention_dim: int = 16
     mlp_hidden: int = 64
-    gru_hidden: int = 0          # 0 -> n_regions // 2
     batch_size: int = 16
     lr: float = 1e-4
     weight_decay: float = 1e-5
@@ -59,16 +58,11 @@ class FairConfig:
         l = self.patch_len
         if l & (l - 1):
             raise ConfigError("patch_len must be a power of two")
-        h = self.resolved_gru_hidden
-        if 2 * h != self.n_regions:
+        if self.n_regions % 2:
             raise ConfigError(
-                "BiGRU output (2 * gru_hidden) must equal n_regions; "
-                f"got 2*{h} vs {self.n_regions}"
+                "n_regions must be even: the BiGRU output (two directions of "
+                f"n_regions // 2) must equal n_regions; got {self.n_regions}"
             )
-
-    @property
-    def resolved_gru_hidden(self):
-        return self.gru_hidden or self.n_regions // 2
 
     @property
     def upsample_stride(self):
@@ -108,7 +102,7 @@ def init_params(cfg, seed):
     d = cfg.attention_dim
     c_in = 2 * l              # refined plane + broadcast attention plane
     c_mid = 2 * c_in
-    h = cfg.resolved_gru_hidden
+    h = cfg.n_regions // 2     # per BiGRU direction
     params = {}
     for n in range(cfg.n_blocks):
         pre = f"block{n}."
@@ -296,10 +290,10 @@ def forward(X, params, cfg, return_trace=False):
             f"fragment is {n_c}x{n_t}, config expects "
             f"{cfg.n_channels}x{cfg.n_timepoints}"
         )
+    if not np.all(np.isfinite(x_data)):
+        raise DataError("fragment contains non-finite values")
     # normalize by max-abs; an all-zero fragment keeps a zero output scale
     # so the estimate scales linearly with the input all the way down
-    for i in range(bsz):
-        normalize_fragment(x_data[i])          # finite-ness check
     scales = np.max(np.abs(x_data), axis=(1, 2))
     xn = x_data / np.where(scales == 0.0, 1.0, scales)[:, None, None]
     pvars = _as_param_vars(params)
@@ -373,6 +367,7 @@ def save_checkpoint(out_dir, params, cfg, adam_state=None, epoch=None):
 def load_checkpoint(in_dir):
     in_dir = Path(in_dir)
     meta = json.loads((in_dir / "model.json").read_text())
+    meta["config"].pop("gru_hidden", None)   # older checkpoints; always n_regions // 2
     cfg = FairConfig(**meta["config"])
     params = {k: v.astype(np.float64)
               for k, v in load_tensor_dir(in_dir / "params").items()}
@@ -386,6 +381,9 @@ def load_checkpoint(in_dir):
 # training
 
 
+PLATEAU_TOL = 1e-4    # relative val-loss gain that counts as progress
+
+
 @dataclass
 class TrainResult:
     checkpoint_dir: Path
@@ -395,15 +393,7 @@ class TrainResult:
 
 
 def _load_split(manifest_entries, split):
-    xs, ss = [], []
-    for e in manifest_entries:
-        if e["split"] != split:
-            continue
-        sample = load_sample(e["path"])
-        xs.append(sample.X)
-        ss.append(sample.S)
-    if not xs:
-        raise DataError(f"manifest has no samples in split '{split}'")
+    xs, ss = zip(*((s.X, s.S) for s in iter_split(manifest_entries, split)))
     return np.stack(xs), np.stack(ss)
 
 
@@ -417,9 +407,9 @@ def evaluate_loss(xs, ss, params, cfg, batch_size=32):
     return total / count
 
 
-def train(manifest_entries, cfg, epochs, seed, out_dir,
+def train(manifest_entries, cfg, epochs=30, *, seed, out_dir,
           start_epoch=0, params=None, adam_state=None,
-          plateau_patience=3, plateau_tol=1e-4, lr_floor=1e-6):
+          plateau_patience=3, lr_floor=1e-6):
     """Mini-batch Adam with plateau LR halving and best-val checkpointing."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -461,7 +451,7 @@ def train(manifest_entries, cfg, epochs, seed, out_dir,
                              f"{adam_state.lr:.3e}"])
             log_fh.flush()
             result.history.append((epoch, train_loss, val_loss, adam_state.lr))
-            if val_loss < result.best_val * (1.0 - plateau_tol):
+            if val_loss < result.best_val * (1.0 - PLATEAU_TOL):
                 result.best_val = val_loss
                 stall = 0
                 save_checkpoint(result.checkpoint_dir, params, cfg,
@@ -471,9 +461,4 @@ def train(manifest_entries, cfg, epochs, seed, out_dir,
                 if stall >= plateau_patience:
                     adam_state.lr = max(lr_floor, adam_state.lr / 2.0)
                     stall = 0
-            if result.best_val == float("inf"):
-                # never improved yet; still keep a checkpoint of epoch 1
-                result.best_val = val_loss
-                save_checkpoint(result.checkpoint_dir, params, cfg,
-                                adam_state, epoch)
     return result

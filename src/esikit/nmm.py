@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InstabilityError, ParameterError, PlacementError
+from .errors import DataError, InstabilityError, ParameterError, PlacementError
 from .geometry import grow_patch, hop_distances
 from .tensorio import save_tensor, load_tensor
 
@@ -331,3 +331,15 @@ def load_manifest(manifest_path):
     for e in entries:
         e["path"] = str(manifest_path.parent / e["path"])
     return entries
+
+
+def iter_split(entries, split):
+    """Yield the samples of one split in manifest order, loading each only
+    when it is reached; raise DataError if the split has none."""
+    found = False
+    for e in entries:
+        if e["split"] == split:
+            found = True
+            yield load_sample(e["path"])
+    if not found:
+        raise DataError(f"manifest has no samples in split '{split}'")

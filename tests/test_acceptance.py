@@ -21,8 +21,8 @@ from esikit.nmm import (
     SimulationConfig,
     add_noise,
     generate_dataset,
+    iter_split,
     load_manifest,
-    load_sample,
     project_forward,
     simulate_jansen_rit,
 )
@@ -280,10 +280,8 @@ def toy_experiment(tmp_path_factory):
     cfg = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128, lr=1e-3)
     result = fm.train(entries, cfg, epochs=30, seed=SEED, out_dir=root / "train")
     params, cfg2, _, _ = fm.load_checkpoint(root / "train" / "best")
-    test_entries = [e for e in entries if e["split"] == "test"]
     reports = {"fair": [], "sloreta": []}
-    for e in test_entries:
-        sample = load_sample(e["path"])
+    for sample in iter_split(entries, "test"):
         reports["fair"].append(
             mx.evaluate(fm.forward(sample.X, params, cfg2).data, sample, space))
         reports["sloreta"].append(
@@ -293,7 +291,6 @@ def toy_experiment(tmp_path_factory):
         "entries": entries, "result": result,
         "fair": mx.aggregate(reports["fair"]),
         "sloreta": mx.aggregate(reports["sloreta"]),
-        "n_test": len(test_entries),
         "elapsed_s": time.monotonic() - t0,
     }
 
@@ -335,14 +332,10 @@ def test_criterion_8_ablation_harness(report, toy_experiment, capfd):
         out = t["root"] / f"abl_{name.replace(' ', '_')}"
         res = fm.train(t["entries"], cfg, epochs=3, seed=SEED, out_dir=out)
         params, cfg2, _, _ = fm.load_checkpoint(res.checkpoint_dir)
-        reps = []
-        for e in t["entries"]:
-            if e["split"] != "test":
-                continue
-            sample = load_sample(e["path"])
-            reps.append(mx.evaluate(fm.forward(sample.X, params, cfg2).data,
-                                    sample, t["space"]))
-        agg = mx.aggregate(reps)
+        agg = mx.aggregate([
+            mx.evaluate(fm.forward(sample.X, params, cfg2).data, sample,
+                        t["space"])
+            for sample in iter_split(t["entries"], "test")])
         rows.append((name, agg["le_mm"]["mean"], agg["nmse"]["mean"],
                      res.best_val))
     with capfd.disabled():

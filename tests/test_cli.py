@@ -1,11 +1,12 @@
 import json
+import shutil
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from esikit.cli import main
+from esikit.cli import load_config, main
 from esikit.nmm import load_manifest, load_sample
 from esikit.tensorio import load_tensor, save_tensor
 
@@ -78,6 +79,25 @@ def test_train_outputs(experiment):
     assert log[0] == "epoch,train_loss,val_loss,lr"
     assert len(log) == 2
     assert (run / "best" / "model.json").exists()
+
+
+def test_train_resume_appends_to_log(experiment, tmp_path):
+    _, _, doc = experiment
+    run = Path(doc["paths"]["workdir"])
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run / "best", resumed / "best")
+    shutil.copy(run / "train_log.csv", resumed / "train_log.csv")
+    start = json.loads((resumed / "best" / "model.json").read_text())["epoch"]
+    config, _ = make_config(tmp_path, training={"epochs": 2})
+    assert main(["train", "--config", str(config),
+                 "--manifest", str(run / "manifest.json"),
+                 "--checkpoint", str(resumed / "best"),
+                 "--out", str(resumed)]) == 0
+    log = (resumed / "train_log.csv").read_text().strip().splitlines()
+    assert [line.startswith("epoch,") for line in log].count(True) == 1
+    assert log[0] == "epoch,train_loss,val_loss,lr"
+    assert len(log) == 1 + start + 2
+    assert [int(row.split(",")[0]) for row in log[-2:]] == [start + 1, start + 2]
 
 
 def test_eval_both_solvers(experiment, tmp_path):
@@ -179,5 +199,27 @@ def test_unknown_nested_key_rejected(tmp_path):
 def test_missing_section_rejected(tmp_path):
     config, doc = make_config(tmp_path)
     del doc["geometry"]
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 2
+
+
+def test_snr_db_accepts_numbers_and_inf(tmp_path):
+    config, doc = make_config(tmp_path)
+    doc["simulation"]["grid"] = [{"snr_db": "inf", "n_sources": 1, "extent": 1},
+                                 {"snr_db": -5.5, "n_sources": 1, "extent": 1}]
+    config.write_text(json.dumps(doc))
+    assert load_config(config)["simulation"]["grid"][0]["snr_db"] == "inf"
+
+
+def test_non_numeric_snr_db_rejected(tmp_path):
+    config, doc = make_config(tmp_path)
+    doc["simulation"]["grid"][0]["snr_db"] = "loud"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 2
+
+
+def test_gru_hidden_key_rejected(tmp_path):
+    config, doc = make_config(tmp_path)
+    doc["model"]["gru_hidden"] = 8        # fixed at n_regions // 2
     config.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config)]) == 2

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import esikit.model as fm
 from esikit import autodiff as ad
-from esikit.errors import ConfigError, DivergenceError, ParameterError
+from esikit.errors import ConfigError, DataError, DivergenceError, ParameterError
 from esikit.geometry import build_lead_field, build_synthetic_source_space
 from esikit.nmm import SimulationConfig, generate_dataset, load_manifest
 from esikit.optim import AdamState, adam_step
@@ -28,7 +30,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         fm.FairConfig(n_channels=4, n_regions=9, n_timepoints=32)  # odd regions
     cfg = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128)
-    assert cfg.resolved_gru_hidden == 32
+    assert fm.init_params(cfg, seed=0)["gru.fw.u"].shape == (3 * 32, 32)
     assert cfg.upsample_stride == 2
     assert cfg.upsample_kernel == 4
 
@@ -160,6 +162,14 @@ def test_forward_rejects_wrong_dims():
         fm.forward(RNG.standard_normal((4, 30)), params, TOY)
 
 
+def test_forward_rejects_non_finite_fragment_in_batch():
+    params = fm.init_params(TOY, seed=1)
+    X = RNG.standard_normal((3, 4, 32))
+    X[1, 2, 5] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        fm.forward(X, params, TOY)
+
+
 def test_forward_scale_equivariance_of_magnitude():
     # max-abs normalization in, restored scale out: scaling X scales S_hat
     params = fm.init_params(TOY, seed=2)
@@ -245,6 +255,18 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_allclose(a, b, atol=1e-4)   # f32 storage
 
 
+def test_load_checkpoint_drops_legacy_gru_hidden(tmp_path):
+    params = fm.init_params(TOY, seed=4)
+    fm.save_checkpoint(tmp_path / "ck", params, TOY, epoch=2)
+    meta_path = tmp_path / "ck" / "model.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["gru_hidden"] = 0          # written before the key was removed
+    meta_path.write_text(json.dumps(meta))
+    _, cfg, epoch, _ = fm.load_checkpoint(tmp_path / "ck")
+    assert cfg == TOY
+    assert epoch == 2
+
+
 def test_train_best_val_monotone(tiny_dataset, tmp_path):
     res = fm.train(tiny_dataset, TOY, epochs=5, seed=0, out_dir=tmp_path)
     assert len(res.history) == 5
@@ -302,7 +324,5 @@ def test_train_divergence_raises(tiny_dataset, tmp_path):
 
 
 def test_train_missing_split_raises(tmp_path):
-    from esikit.errors import DataError
-
     with pytest.raises(DataError):
         fm.train([], TOY, epochs=1, seed=0, out_dir=tmp_path)

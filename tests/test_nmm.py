@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esikit.errors import InstabilityError, ParameterError, PlacementError
+from esikit.errors import DataError, InstabilityError, ParameterError, PlacementError
 from esikit.geometry import build_lead_field, build_synthetic_source_space, grow_patch
 from esikit.nmm import (
     ALPHA_PRESET,
@@ -15,6 +15,7 @@ from esikit.nmm import (
     add_noise,
     generate_dataset,
     generate_source_activity,
+    iter_split,
     load_manifest,
     load_sample,
     project_forward,
@@ -292,3 +293,38 @@ def test_generate_dataset_sample_matches_direct_simulation(tmp_path, space, lf):
     for suffix in (".X.esit", ".S.esit", ".json"):
         written = (manifest.parent / (stem + suffix)).read_bytes()
         assert written == (tmp_path / "direct" / (stem + suffix)).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def split_entries(tmp_path_factory, space, lf):
+    root = tmp_path_factory.mktemp("split")
+    # 24 samples: indices 10 and 22 are val, 11 and 23 are test
+    return load_manifest(generate_dataset(space, lf, [cfg(space)], 24, root,
+                                          seed_base=40))
+
+
+def test_iter_split_manifest_order_and_split(split_entries):
+    for split in ("train", "val", "test"):
+        wanted = [e for e in split_entries if e["split"] == split]
+        got = list(iter_split(split_entries, split))
+        assert [s.config.seed for s in got] == [e["config"]["seed"] for e in wanted]
+        for sample, e in zip(got, wanted):
+            np.testing.assert_array_equal(sample.X, load_sample(e["path"]).X)
+    assert [s.config.seed for s in iter_split(split_entries, "test")] == [51, 63]
+
+
+def test_iter_split_missing_split_raises(split_entries):
+    with pytest.raises(DataError):
+        list(iter_split(split_entries, "holdout"))
+    with pytest.raises(DataError):
+        list(iter_split([], "test"))
+
+
+def test_iter_split_streams(split_entries, tmp_path):
+    entries = [dict(e) for e in split_entries]
+    second_test = [e for e in entries if e["split"] == "test"][1]
+    second_test["path"] = str(tmp_path / "missing.json")
+    samples = iter_split(entries, "test")
+    assert next(samples).config.seed == 51      # loaded before the bad entry
+    with pytest.raises(FileNotFoundError):
+        next(samples)
