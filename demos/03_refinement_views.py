@@ -20,9 +20,9 @@ grid = extract_patches(X, 16, 8)
 P = grid.patches[None]                      # add a batch axis: (1, 2, 15, 16)
 print(f"patch grid: {P.shape} (batch, channels, patches, patch length)")
 
-P_S = spectral_refine(P, tau=0.1)
-P_T = temporal_refine(P, tau=0.1)
-P_L = fuse(P_S, P_T, alpha=0.5)
+P_S = spectral_refine(P, tau=0.1).data      # the views return Vars
+P_T = temporal_refine(P, tau=0.1).data
+P_L = fuse(P_S, P_T, alpha=0.5).data
 print(f"spectral view range: [{P_S.min():.3f}, {P_S.max():.3f}]")
 print(f"temporal view sums (should be 1): "
       f"{P_T.sum(-1).min():.6f}...{P_T.sum(-1).max():.6f}")

@@ -388,12 +388,26 @@ def _col2im(cols, x_shape, kh, kw, stride, pad):
     return xp[:, :, ph:h + ph, pw:w + pw]
 
 
-def _pair_contract(a, b):
-    """sum_b a[b] @ b[b].T for (batch, m, l) x (batch, n, l) -> (m, n)."""
-    m, n = a.shape[1], b.shape[1]
-    af = a.transpose(1, 0, 2).reshape(m, -1)
-    bf = b.transpose(1, 0, 2).reshape(n, -1)
-    return af @ bf.T
+def _correlate(x, kernel, stride, pad):
+    """im2col then matmul, (b, c_in, h, w) -> (b, c_out, ho, wo), plus the columns."""
+    co, _, kh, kw = kernel.shape
+    cols, (ho, wo) = _im2col(x, kh, kw, stride, pad)
+    return (kernel.reshape(co, -1) @ cols).reshape(x.shape[0], co, ho, wo), cols
+
+
+def _correlate_adjoint(y, kernel, x_shape, stride, pad):
+    """Adjoint of :func:`_correlate`: matmul then col2im onto ``x_shape``."""
+    co, _, kh, kw = kernel.shape
+    cols = np.matmul(kernel.reshape(co, -1).T, y.reshape(y.shape[0], co, -1))
+    return _col2im(cols, x_shape, kh, kw, stride, pad)
+
+
+def _kernel_grad(y, cols, k_shape):
+    """sum_b y[b] @ cols[b].T for conv-side y and input-side columns."""
+    co = k_shape[0]
+    yf = y.reshape(y.shape[0], co, -1).transpose(1, 0, 2).reshape(co, -1)
+    cf = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
+    return (yf @ cf.T).reshape(k_shape)
 
 
 def conv2d(x, kernel, stride=1, padding=0):
@@ -405,20 +419,10 @@ def conv2d(x, kernel, stride=1, padding=0):
         raise ParameterError(
             f"conv2d channel mismatch: input {x.shape[1]}, kernel {kernel.shape[1]}"
         )
-    b = x.shape[0]
-    co, ci, kh, kw = kernel.shape
-    cols, (ho, wo) = _im2col(x.data, kh, kw, stride, padding)
-    w2 = kernel.data.reshape(co, ci * kh * kw)
-    out = (w2 @ cols).reshape(b, co, ho, wo)
-
-    def vjp(g):
-        g2 = g.reshape(b, co, ho * wo)
-        gk = _pair_contract(g2, cols).reshape(kernel.shape)
-        gcols = np.matmul(w2.T, g2)
-        gx = _col2im(gcols, x.shape, kh, kw, stride, padding)
-        return gx, gk
-
-    return Var(out, (x, kernel), vjp)
+    out, cols = _correlate(x.data, kernel.data, stride, padding)
+    return Var(out, (x, kernel), lambda g: (
+        _correlate_adjoint(g, kernel.data, x.shape, stride, padding),
+        _kernel_grad(g, cols, kernel.shape)))
 
 
 def transpose_conv2d(y, kernel, stride=1, padding=0):
@@ -431,21 +435,15 @@ def transpose_conv2d(y, kernel, stride=1, padding=0):
         raise ParameterError(
             f"transpose_conv2d channel mismatch: input {y.shape[1]}, kernel {kernel.shape[0]}"
         )
-    b, co, ho, wo = y.shape
+    b, _, ho, wo = y.shape
     _, ci, kh, kw = kernel.shape
     (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
-    h = sh * (ho - 1) + kh - 2 * ph
-    w = sw * (wo - 1) + kw - 2 * pw
-    w2 = kernel.data.reshape(co, ci * kh * kw)
-    y2 = y.data.reshape(b, co, ho * wo)
-    cols = np.matmul(w2.T, y2)
-    out = _col2im(cols, (b, ci, h, w), kh, kw, stride, padding)
+    x_shape = (b, ci, sh * (ho - 1) + kh - 2 * ph, sw * (wo - 1) + kw - 2 * pw)
+    out = _correlate_adjoint(y.data, kernel.data, x_shape, stride, padding)
 
     def vjp(g):
-        gcols, _ = _im2col(g, kh, kw, stride, padding)
-        gy = np.matmul(w2, gcols).reshape(y.shape)
-        gk = _pair_contract(y2, gcols).reshape(kernel.shape)
-        return gy, gk
+        gy, gcols = _correlate(g, kernel.data, stride, padding)
+        return gy, _kernel_grad(y.data, gcols, kernel.shape)
 
     return Var(out, (y, kernel), vjp)
 
@@ -466,17 +464,18 @@ def overlap_add_arrays(windows, stride, n_out):
     return out
 
 
+def gather_windows(x, n_p, l, stride):
+    """Adjoint of :func:`overlap_add_arrays`: the ``n_p`` length-``l``
+    windows (..., n_p, l) of x's last axis at starts ``stride * p``."""
+    return x[..., stride * np.arange(n_p)[:, None] + np.arange(l)]
+
+
 def overlap_add(grid, stride, n_out):
     """Scatter windows (..., n_p, l) onto a length-``n_out`` axis by addition."""
     grid = as_var(grid)
-    out = overlap_add_arrays(grid.data, stride, n_out)
-    n_p, l = grid.shape[-2], grid.shape[-1]
-    pos = stride * np.arange(n_p)[:, None] + np.arange(l)[None, :]   # (n_p, l)
-
-    def vjp(g):
-        return (g[..., pos],)
-
-    return Var(out, (grid,), vjp)
+    n_p, l = grid.shape[-2:]
+    return Var(overlap_add_arrays(grid.data, stride, n_out), (grid,),
+               lambda g: (gather_windows(g, n_p, l, stride),))
 
 
 # ---------------------------------------------------------------------------

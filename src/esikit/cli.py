@@ -252,6 +252,8 @@ def cmd_eval(doc, manifest_path, out, solvers, checkpoint):
 
 def cmd_localize(doc, checkpoint, fragment_path, out):
     out_dir = _workdir(doc, out)
+    if not checkpoint:
+        raise ParameterError("localize needs --checkpoint")
     out_dir.mkdir(parents=True, exist_ok=True)
     params, cfg, _, _ = fm.load_checkpoint(checkpoint)
     fragment = load_tensor(fragment_path).astype(np.float64)

@@ -123,12 +123,7 @@ def grow_patch(space, center, extent):
         raise ParameterError(f"center {center} out of range")
     if extent < 1:
         raise ParameterError(f"extent must be >= 1, got {extent}")
-    frontier = {int(center)}
-    seen = {int(center)}
-    for _ in range(extent - 1):
-        frontier = {b for a in frontier for b in space.adjacency[a]} - seen
-        seen |= frontier
-    return RegionSet(regions=frozenset(seen))
+    return RegionSet(regions=frozenset(hop_distances(space, center, extent - 1)))
 
 
 def hop_distances(space, center, max_hops):

@@ -23,7 +23,7 @@ from . import layers
 from .errors import ConfigError, DataError, DivergenceError, ParameterError
 from .nmm import iter_split
 from .optim import AdamState, adam_step, load_adam_state, save_adam_state
-from .patches import coverage_counts, extract_patches, padded_length
+from .patches import coverage_counts, extract_patches
 from .tensorio import load_tensor_dir, save_tensor_dir
 
 
@@ -144,52 +144,40 @@ def init_params(cfg, seed):
 # refinement views
 
 
-def _wrap(x):
-    return (x, True) if isinstance(x, ad.Var) else (ad.Var(x), False)
-
-
-def _unwrap(out, was_var):
-    return out if was_var else out.data
-
-
 def spectral_refine(grid, tau, reweight=False):
     """FFT each patch, temperature-softmax the real and imaginary parts
     independently, inverse-transform, keep the real part."""
-    g, was_var = _wrap(grid)
-    re, im = ad.fft(g)
+    re, im = ad.fft(grid)
     rs = ad.temp_softmax(re, tau, axis=-1)
     is_ = ad.temp_softmax(im, tau, axis=-1)
     if reweight:
         rs = ad.mul(re, rs)
         is_ = ad.mul(im, is_)
-    return _unwrap(ad.ifft(rs, is_), was_var)
+    return ad.ifft(rs, is_)
 
 
 def temporal_refine(grid, tau):
     """Temperature softmax along the time axis of each patch."""
-    g, was_var = _wrap(grid)
-    return _unwrap(ad.temp_softmax(g, tau, axis=-1), was_var)
+    return ad.temp_softmax(grid, tau, axis=-1)
 
 
 def fuse(p_s, p_t, alpha):
     """Elementwise convex combination alpha*p_s + (1-alpha)*p_t."""
     if not (0.0 <= alpha <= 1.0):
         raise ParameterError("alpha must be in [0, 1]")
-    a, was_var_a = _wrap(p_s)
-    b, was_var_b = _wrap(p_t)
+    a, b = ad.as_var(p_s), ad.as_var(p_t)
     if a.shape != b.shape:
         raise ParameterError("fuse: shapes differ")
-    out = ad.add(ad.mul(a, alpha), ad.mul(b, 1.0 - alpha))
-    return _unwrap(out, was_var_a or was_var_b)
+    return ad.add(ad.mul(a, alpha), ad.mul(b, 1.0 - alpha))
 
 
 def select_key_patch(grid):
     """Per-channel index of the patch with maximal sum of squared entries.
 
-    Accepts (..., n_patches, l); ties break to the smallest index.
+    Accepts an array (..., n_patches, l); ties break to the smallest index.
     """
-    data = grid.data if isinstance(grid, ad.Var) else np.asarray(grid)
-    energy = np.sum(data * data, axis=-1)
+    grid = np.asarray(grid)
+    energy = np.sum(grid * grid, axis=-1)
     return np.argmax(energy, axis=-1)
 
 
@@ -197,9 +185,9 @@ def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
     """Key-patch self-attention summary broadcast onto every patch of its
     channel, then Conv2D-ELU-LayerNorm and TransposeConv2D-ELU-LayerNorm
     over the channel x patch grid, restoring the input feature depth."""
-    g, was_var = _wrap(grid)
+    g = ad.as_var(grid)
     b, n_c, n_p, l = g.shape
-    key_idx = select_key_patch(g)                       # (b, n_c)
+    key_idx = select_key_patch(g.data)                  # (b, n_c)
     idx = np.broadcast_to(key_idx[:, :, None, None], (b, n_c, 1, l)).copy()
     key = ad.take_along(g, idx, axis=-2)                # (b, n_c, 1, l)
     tokens = ad.reshape(key, (b, n_c, l, 1))
@@ -229,7 +217,7 @@ def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
         trace.key_indices = key_idx.copy()
         trace.attention_out = att.data.copy()
         trace.P_A = aug.data.copy()
-    return _unwrap(out, was_var)
+    return out
 
 
 def _channel_layer_norm(x, gain, bias):
@@ -240,7 +228,7 @@ def _channel_layer_norm(x, gain, bias):
 
 
 def fair_block(grid, params, cfg, block_idx=0, trace=None):
-    """One refinement pass; shape-preserving, so blocks can stack."""
+    """One refinement pass on a Var grid; shape-preserving, so blocks stack."""
     prefix = f"block{block_idx}."
     p_s = spectral_refine(grid, cfg.tau, cfg.spectral_reweight) \
         if cfg.use_spectral else None
@@ -254,15 +242,15 @@ def fair_block(grid, params, cfg, block_idx=0, trace=None):
     else:
         p_l = grid
     if trace is not None:
-        trace.P = (grid.data if isinstance(grid, ad.Var) else grid).copy()
+        trace.P = grid.data.copy()
         if p_s is not None:
             trace.P_S = p_s.data.copy()
         if p_t is not None:
             trace.P_T = p_t.data.copy()
-        trace.P_L = (p_l.data if isinstance(p_l, ad.Var) else p_l).copy()
+        trace.P_L = p_l.data.copy()
     out = patch_refine(p_l, params, cfg, prefix, trace) if cfg.use_patch else p_l
     if trace is not None:
-        trace.P_O = (out.data if isinstance(out, ad.Var) else out).copy()
+        trace.P_O = out.data.copy()
     return out
 
 
@@ -277,11 +265,12 @@ def _as_param_vars(params):
 def forward(X, params, cfg, return_trace=False):
     """Scalp fragment(s) -> source estimate(s).
 
-    X is (n_channels, n_timepoints) or a (batch, ...) stack; parameters may
-    be ndarrays or Vars (Vars keep the tape alive for training).
+    X is an array (n_channels, n_timepoints) or a (batch, ...) stack;
+    parameters may be ndarrays or Vars (Vars keep the tape alive for
+    training). Returns a Var; ``.data`` is the estimate.
     """
-    single = np.ndim(X) == 2 if not isinstance(X, ad.Var) else len(X.shape) == 2
-    x_data = X.data if isinstance(X, ad.Var) else np.asarray(X, dtype=np.float64)
+    x_data = np.asarray(X, dtype=np.float64)
+    single = x_data.ndim == 2
     if single:
         x_data = x_data[None]
     bsz, n_c, n_t = x_data.shape
@@ -306,9 +295,8 @@ def forward(X, params, cfg, return_trace=False):
                        trace=trace if n == cfg.n_blocks - 1 else None)
 
     # merge patches back to the (padded) time axis, exact overlap-add inverse
-    n_pad = padded_length(n_t, cfg.patch_len, grid_np.stride)
     cov = coverage_counts(grid_np.n_patches, cfg.patch_len, grid_np.stride)
-    merged = ad.mul(ad.overlap_add(g, grid_np.stride, n_pad), 1.0 / cov)
+    merged = ad.mul(ad.overlap_add(g, grid_np.stride, cov.size), 1.0 / cov)
     merged = merged[..., :n_t]                               # (b, n_c, n_t)
 
     # transposed convolution upsamples the channel axis n_c -> n_s
@@ -338,8 +326,7 @@ def forward(X, params, cfg, return_trace=False):
 def loss(s_hat, s_true):
     """Squared Frobenius error divided by the region count; batches average."""
     sh = ad.as_var(s_hat)
-    st = np.asarray(s_true.data if isinstance(s_true, ad.Var) else s_true,
-                    dtype=np.float64)
+    st = np.asarray(s_true, dtype=np.float64)
     if sh.shape != st.shape:
         raise ParameterError(f"loss: shapes differ, {sh.shape} vs {st.shape}")
     n_s = st.shape[-2]
@@ -423,10 +410,12 @@ def train(manifest_entries, cfg, epochs=30, *, seed, out_dir,
     result = TrainResult(checkpoint_dir=out_dir / "best",
                          log_path=out_dir / "train_log.csv")
     stall = 0
-    mode = "a" if start_epoch else "w"
-    with open(result.log_path, mode, newline="") as log_fh:
+    # a resume appends to its log; a fresh run, or a resume into a new
+    # directory, starts one with a header
+    new_log = not start_epoch or not result.log_path.exists()
+    with open(result.log_path, "w" if new_log else "a", newline="") as log_fh:
         writer = csv.writer(log_fh)
-        if not start_epoch:
+        if new_log:
             writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
         for epoch in range(start_epoch + 1, start_epoch + epochs + 1):
             order = rng.permutation(len(xs_train))

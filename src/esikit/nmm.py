@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InstabilityError, ParameterError, PlacementError
-from .geometry import grow_patch, hop_distances
+from .geometry import RegionSet, grow_patch, hop_distances
 from .tensorio import save_tensor, load_tensor
 
 INPUT_DT = 1e-3           # resolution of the piecewise-constant input drive
@@ -195,30 +195,28 @@ def generate_source_activity(space, cfg, params):
             "reduce n_sources or extent"
         )
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    footprints = []
+    placed = []     # hop map of each accepted source; its keys are the footprint
     occupied = set()
     attempts = 0
-    while len(footprints) < cfg.n_sources:
+    while len(placed) < cfg.n_sources:
         attempts += 1
         if attempts > 1000:
             raise PlacementError(
                 f"could not place {cfg.n_sources} non-overlapping sources "
                 f"of extent {cfg.extent} in 1000 attempts"
             )
-        center = int(rng.integers(space.n_regions))
-        fp = grow_patch(space, center, cfg.extent)
-        if occupied & set(fp.regions):
+        hops = hop_distances(space, int(rng.integers(space.n_regions)), cfg.extent - 1)
+        if not occupied.isdisjoint(hops):
             continue
-        footprints.append((center, fp))
-        occupied |= set(fp.regions)
+        placed.append(hops)
+        occupied.update(hops)
     S = np.zeros((space.n_regions, cfg.n_timepoints))
-    for k, (center, fp) in enumerate(footprints):
+    for k, hops in enumerate(placed):
         wave = simulate_jansen_rit(params, cfg.n_timepoints, cfg.sample_rate,
                                    seed=cfg.seed * 1000003 + k)
-        hops = hop_distances(space, center, cfg.extent - 1)
-        for region in fp:
-            S[region] = (HOP_DECAY ** hops[region]) * wave
-    return S, tuple(fp for _, fp in footprints)
+        for region, h in hops.items():
+            S[region] = (HOP_DECAY ** h) * wave
+    return S, tuple(RegionSet(frozenset(hops)) for hops in placed)
 
 
 def project_forward(lf, S):
@@ -291,8 +289,6 @@ def save_sample(sample, stem):
 
 
 def load_sample(meta_path):
-    from .geometry import RegionSet
-
     meta_path = Path(meta_path)
     meta = json.loads(meta_path.read_text())
     X = load_tensor(meta_path.parent / meta["X"]).astype(np.float64)

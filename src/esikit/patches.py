@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import overlap_add_arrays
+from .autodiff import gather_windows, overlap_add_arrays
 from .errors import DataError, FormatError, ParameterError
 
 
@@ -46,9 +46,7 @@ def extract_patches(x, l, overlap):
     if n_pad > n_t:
         pad = [(0, 0)] * (x.ndim - 1) + [(0, n_pad - n_t)]
         x = np.pad(x, pad)
-    n_p = (n_pad - l) // stride + 1
-    idx = stride * np.arange(n_p)[:, None] + np.arange(l)[None, :]
-    patches = x[..., idx]
+    patches = gather_windows(x, (n_pad - l) // stride + 1, l, stride)
     return PatchGrid(patches=patches, l=l, stride=stride, n_timepoints_original=n_t)
 
 

@@ -214,6 +214,26 @@ def test_col2im_bit_identical_to_scatter(x_shape, k_shape, stride, padding):
     assert np.array_equal(out, ref_gx)
 
 
+@pytest.mark.parametrize("x_shape,k_shape,stride,padding", SCATTER_CASES)
+def test_conv_pair_shares_maps(x_shape, k_shape, stride, padding):
+    # conv2d and transpose_conv2d are each other's adjoint: each one's
+    # forward is the other's input gradient, and with the seeds swapped
+    # their kernel gradients are the same sum
+    rng = np.random.Generator(np.random.PCG64(6))
+    x = rng.standard_normal(x_shape)
+    k = rng.standard_normal(k_shape)
+    xv, kc = ad.Var(x), ad.Var(k)
+    y = ad.conv2d(xv, kc, stride=stride, padding=padding)
+    g = rng.standard_normal(y.shape)
+    y.backward(g)
+    gv, kt = ad.Var(g), ad.Var(k)
+    t = ad.transpose_conv2d(gv, kt, stride=stride, padding=padding)
+    t.backward(x)
+    assert np.array_equal(y.data, gv.grad)
+    assert np.array_equal(t.data, xv.grad)
+    assert np.array_equal(kc.grad, kt.grad)
+
+
 @pytest.mark.parametrize("n_p,l,stride,extra", [(6, 4, 2, 0), (5, 4, 4, 0), (7, 8, 3, 5)])
 def test_overlap_add_bit_identical_to_scatter(n_p, l, stride, extra):
     rng = np.random.Generator(np.random.PCG64(n_p))

@@ -100,6 +100,19 @@ def test_train_resume_appends_to_log(experiment, tmp_path):
     assert [int(row.split(",")[0]) for row in log[-2:]] == [start + 1, start + 2]
 
 
+def test_train_resume_into_new_dir_starts_log_with_header(experiment, tmp_path):
+    _, config, doc = experiment
+    run = Path(doc["paths"]["workdir"])
+    start = json.loads((run / "best" / "model.json").read_text())["epoch"]
+    fresh = tmp_path / "fresh"
+    assert main(["train", "--config", str(config),
+                 "--manifest", str(run / "manifest.json"),
+                 "--checkpoint", str(run / "best"), "--out", str(fresh)]) == 0
+    log = (fresh / "train_log.csv").read_text().strip().splitlines()
+    assert log[0] == "epoch,train_loss,val_loss,lr"
+    assert [int(row.split(",")[0]) for row in log[1:]] == [start + 1]
+
+
 def test_eval_both_solvers(experiment, tmp_path):
     _, config, doc = experiment
     run = Path(doc["paths"]["workdir"])
@@ -169,6 +182,14 @@ def test_localize_dim_mismatch(experiment, tmp_path):
     save_tensor(np.zeros((5, 32)), frag)
     assert main(["localize", "--config", str(config),
                  "--checkpoint", str(run / "best"),
+                 "--fragment", str(frag), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_localize_requires_checkpoint(experiment, tmp_path):
+    _, config, _ = experiment
+    frag = tmp_path / "frag.esit"
+    save_tensor(np.zeros((8, 32)), frag)
+    assert main(["localize", "--config", str(config),
                  "--fragment", str(frag), "--out", str(tmp_path / "x")]) == 2
 
 

@@ -111,6 +111,14 @@ def test_grow_patch_matches_brute_force_bfs():
             assert set(grow_patch(space, center, extent).regions) == reach
 
 
+def test_grow_patch_is_hop_distances_footprint():
+    space = build_synthetic_source_space(32, 3, seed=4)
+    for center in range(space.n_regions):
+        for extent in (1, 2, 3, 4):
+            assert grow_patch(space, center, extent).regions == \
+                set(hop_distances(space, center, extent - 1))
+
+
 def test_grow_patch_errors():
     space = build_synthetic_source_space(8, 2, seed=0)
     with pytest.raises(ParameterError):

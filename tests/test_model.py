@@ -50,7 +50,7 @@ def test_paper_hyperparameter_defaults():
 def test_spectral_refine_constant_patch_oracle():
     l = 8
     grid = np.full((1, 1, 1, l), 2.0)
-    out = fm.spectral_refine(grid, tau=0.1)
+    out = fm.spectral_refine(grid, tau=0.1).data
     spec = np.fft.fft(grid[0, 0, 0])
     re, im = spec.real, spec.imag
 
@@ -66,39 +66,39 @@ def test_spectral_refine_constant_patch_oracle():
 
 def test_spectral_refine_shape_and_tau_saturation():
     grid = RNG.standard_normal((2, 3, 4, 8))
-    out = fm.spectral_refine(grid, tau=0.1)
+    out = fm.spectral_refine(grid, tau=0.1).data
     assert out.shape == grid.shape
     # tau -> infinity: uniform spectra regardless of input
-    a = fm.spectral_refine(RNG.standard_normal((1, 1, 1, 8)), tau=1e9)
-    b = fm.spectral_refine(RNG.standard_normal((1, 1, 1, 8)), tau=1e9)
+    a = fm.spectral_refine(RNG.standard_normal((1, 1, 1, 8)), tau=1e9).data
+    b = fm.spectral_refine(RNG.standard_normal((1, 1, 1, 8)), tau=1e9).data
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 def test_spectral_reweight_variant():
     grid = RNG.standard_normal((1, 2, 3, 8))
-    replace = fm.spectral_refine(grid, tau=0.5, reweight=False)
-    reweight = fm.spectral_refine(grid, tau=0.5, reweight=True)
+    replace = fm.spectral_refine(grid, tau=0.5, reweight=False).data
+    reweight = fm.spectral_refine(grid, tau=0.5, reweight=True).data
     assert replace.shape == reweight.shape
     assert not np.allclose(replace, reweight)
 
 
 def test_temporal_refine_constant_and_spike():
-    const = fm.temporal_refine(np.full((1, 1, 2, 8), 3.0), tau=0.1)
+    const = fm.temporal_refine(np.full((1, 1, 2, 8), 3.0), tau=0.1).data
     np.testing.assert_allclose(const, 1.0 / 8, atol=1e-12)
-    sums = fm.temporal_refine(RNG.standard_normal((2, 3, 4, 8)), tau=0.1).sum(-1)
+    sums = fm.temporal_refine(RNG.standard_normal((2, 3, 4, 8)), tau=0.1).data.sum(-1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
     spike = np.zeros((1, 1, 1, 8))
     spike[..., 3] = 1.0
-    out = fm.temporal_refine(spike, tau=0.1)
+    out = fm.temporal_refine(spike, tau=0.1).data
     assert out[0, 0, 0, 3] > 0.99
 
 
 def test_fuse_boundaries_and_average():
     a = RNG.standard_normal((2, 2, 2, 4))
     b = RNG.standard_normal((2, 2, 2, 4))
-    np.testing.assert_allclose(fm.fuse(a, b, 1.0), a, atol=1e-12)
-    np.testing.assert_allclose(fm.fuse(a, b, 0.0), b, atol=1e-12)
-    np.testing.assert_allclose(fm.fuse(a, b, 0.5), 0.5 * (a + b), atol=1e-12)
+    np.testing.assert_allclose(fm.fuse(a, b, 1.0).data, a, atol=1e-12)
+    np.testing.assert_allclose(fm.fuse(a, b, 0.0).data, b, atol=1e-12)
+    np.testing.assert_allclose(fm.fuse(a, b, 0.5).data, 0.5 * (a + b), atol=1e-12)
     with pytest.raises(ParameterError):
         fm.fuse(a, b[:1], 0.5)
     with pytest.raises(ParameterError):
@@ -132,9 +132,7 @@ def test_fair_block_ablation_routing():
                             patch_len=8, overlap=4, attention_dim=4,
                             mlp_hidden=8, use_spectral=flags[0],
                             use_temporal=flags[1], use_patch=flags[2])
-        out = fm.fair_block(grid, params, cfg)
-        data = out.data if isinstance(out, ad.Var) else out
-        assert data.shape == grid.shape
+        assert fm.fair_block(grid, params, cfg).data.shape == grid.shape
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esikit import autodiff as ad
 from esikit.errors import DataError, ParameterError
 from esikit.patches import (
     extract_patches,
@@ -24,6 +25,18 @@ def test_paper_setting_patch_count():
     starts = [s for s in range(0, 504 - 16 + 1, 8)]
     assert len(starts) == 62
     assert padded_length(500, 16, 8) == 504
+
+
+@pytest.mark.parametrize("n_t,l,overlap", [(500, 16, 8), (32, 8, 0), (37, 8, 5)])
+def test_extract_is_overlap_add_adjoint(n_t, l, overlap):
+    # cutting windows is the VJP of overlap-add over the padded axis
+    x = RNG.standard_normal((2, 3, n_t))
+    grid = extract_patches(x, l, overlap)
+    n_pad = padded_length(n_t, l, grid.stride)
+    xp = np.pad(x, ((0, 0), (0, 0), (0, n_pad - n_t)))
+    windows = ad.Var(np.zeros(grid.patches.shape))
+    ad.overlap_add(windows, grid.stride, n_pad).backward(xp)
+    assert np.array_equal(grid.patches, windows.grad)
 
 
 def test_disjoint_patches_concatenate_to_input():
