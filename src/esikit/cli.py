@@ -31,7 +31,7 @@ from .geometry import (
 )
 from .nmm import SimulationConfig, generate_dataset, iter_split, load_manifest
 from .plotting import topography_svg
-from .sloreta import DEFAULT_LAMBDA, sloreta_solve
+from .sloreta import DEFAULT_LAMBDA, sloreta_operator
 from .tensorio import load_tensor, save_tensor
 
 EXIT_VALIDATION = 2
@@ -126,17 +126,23 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: ``jsonschema.validate`` would re-check the constant schema
+# against its metaschema on every call; tests check the schema instead.
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 
 def load_config(path, seed_override=None):
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError as err:
         raise DataError(f"config not found: {path}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config cannot be decoded: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    # the error jsonschema.validate would raise
+    err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if err is not None:
         raise ConfigError(f"config invalid at {list(err.absolute_path)}: "
                           f"{err.message}") from err
     if seed_override is not None:
@@ -213,12 +219,14 @@ def _eval_solver(name, entries, doc, space, lf, checkpoint):
         if not checkpoint:
             raise ParameterError("fair solver needs --checkpoint")
         params, cfg, _, _ = fm.load_checkpoint(checkpoint)
+    else:
+        solve = sloreta_operator(lf, lam)
     reports = []
     for sample in iter_split(entries, "test"):
         if name == "fair":
             s_hat = fm.forward(sample.X, params, cfg).data
         else:
-            s_hat = sloreta_solve(lf, sample.X, lam)
+            s_hat = solve(sample.X)
         reports.append(mx.evaluate(s_hat, sample, space, threshold))
     return reports
 

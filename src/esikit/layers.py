@@ -74,8 +74,9 @@ def gru_forward(x, w, u, b, reverse=False):
     wd, ud, bd = wv.data, uv.data, bv.data
     xd = xv.data[:, ::-1, :] if reverse else xv.data
     uz, ur, un = ud[:h], ud[h:2 * h], ud[2 * h:]
+    uzr_t = ud[:2 * h].T
 
-    xw = xd @ wd.T + bd                       # (B, T, 3h), input-to-hidden
+    xw = (xd @ wd.T + bd).transpose(1, 0, 2)  # (T, B, 3h), input-to-hidden
     zs = np.empty((T, bsz, h))
     rs = np.empty((T, bsz, h))
     ns = np.empty((T, bsz, h))
@@ -83,9 +84,9 @@ def gru_forward(x, w, u, b, reverse=False):
     hs[0] = 0.0
     for t in range(T):
         hp = hs[t]
-        z = _sig(xw[:, t, :h] + hp @ uz.T)
-        r = _sig(xw[:, t, h:2 * h] + hp @ ur.T)
-        n = np.tanh(xw[:, t, 2 * h:] + (r * hp) @ un.T)
+        zr = _sig(xw[t, :, :2 * h] + hp @ uzr_t)  # z and r from one matmul
+        z, r = zr[:, :h], zr[:, h:]
+        n = np.tanh(xw[t, :, 2 * h:] + (r * hp) @ un.T)
         zs[t], rs[t], ns[t] = z, r, n
         hs[t + 1] = z * hp + (1.0 - z) * n
     out = hs[1:].transpose(1, 0, 2)

@@ -26,17 +26,31 @@ def minimum_norm_kernel(lf, lam=DEFAULT_LAMBDA):
     return G.T @ inv
 
 
-def sloreta_solve(lf, X, lam=DEFAULT_LAMBDA):
-    """Standardized source estimate for a scalp fragment X (n_c x n_t)."""
-    X = np.asarray(X, dtype=np.float64)
+def sloreta_operator(lf, lam=DEFAULT_LAMBDA):
+    """The standardized solve for one lead field, built once.
+
+    Returns ``solve(X)`` mapping a scalp fragment X (n_c x n_t) to its
+    standardized source estimate; the kernel and the resolution diagonal
+    depend only on ``lf`` and ``lam``.
+    """
     G = np.asarray(lf.matrix, dtype=np.float64)
-    if X.shape[0] != G.shape[0]:
-        raise ParameterError(
-            f"fragment has {X.shape[0]} channels, lead field has {G.shape[0]}"
-        )
     T = minimum_norm_kernel(lf, lam)
-    J = T @ X
     r_diag = np.einsum("sc,cs->s", T, G)
     if np.any(r_diag <= 0):
         raise NumericalError("resolution matrix has non-positive diagonal")
-    return J / np.sqrt(r_diag)[:, None]
+    root = np.sqrt(r_diag)[:, None]
+
+    def solve(X):
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[0] != G.shape[0]:
+            raise ParameterError(
+                f"fragment has {X.shape[0]} channels, lead field has {G.shape[0]}"
+            )
+        return (T @ X) / root
+
+    return solve
+
+
+def sloreta_solve(lf, X, lam=DEFAULT_LAMBDA):
+    """Standardized source estimate for a scalp fragment X (n_c x n_t)."""
+    return sloreta_operator(lf, lam)(X)

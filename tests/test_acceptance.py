@@ -32,6 +32,8 @@ from esikit.sloreta import sloreta_solve
 SEED = 7
 RNG = np.random.Generator(np.random.PCG64(1234))
 
+pytestmark = pytest.mark.acceptance
+
 
 @pytest.fixture
 def report(capfd):

@@ -3,10 +3,13 @@ import shutil
 import xml.dom.minidom
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from esikit.cli import load_config, main
+from esikit import sloreta
+from esikit.cli import CONFIG_SCHEMA, load_config, main
+from esikit.errors import ConfigError
 from esikit.nmm import load_manifest, load_sample
 from esikit.tensorio import load_tensor, save_tensor
 
@@ -137,12 +140,31 @@ def test_eval_non_finite_estimate_is_numerical_error(experiment, tmp_path,
                                                     monkeypatch):
     _, config, _ = experiment
 
-    def nan_solve(lf, X, lam):
-        return np.full((lf.matrix.shape[1], X.shape[1]), np.nan)
+    def nan_operator(lf, lam):
+        return lambda X: np.full((lf.matrix.shape[1], X.shape[1]), np.nan)
 
-    monkeypatch.setattr("esikit.cli.sloreta_solve", nan_solve)
+    monkeypatch.setattr("esikit.cli.sloreta_operator", nan_operator)
     assert main(["eval", "--config", str(config), "--solver", "sloreta",
                  "--out", str(tmp_path / "e")]) == 4
+
+
+def test_eval_sloreta_builds_kernel_once(experiment, tmp_path, monkeypatch):
+    _, config, doc = experiment
+    builds = []
+    kernel = sloreta.minimum_norm_kernel
+
+    def counted(lf, lam=sloreta.DEFAULT_LAMBDA):
+        builds.append(lam)
+        return kernel(lf, lam)
+
+    monkeypatch.setattr(sloreta, "minimum_norm_kernel", counted)
+    # more test samples than one, so a per-sample build would show
+    sim = dict(doc["simulation"], n_samples_per_cell=40)
+    config, _ = make_config(tmp_path, simulation=sim)
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["eval", "--config", str(config), "--solver", "sloreta"]) == 0
+    rows = (tmp_path / "run" / "eval_sloreta.csv").read_text().splitlines()
+    assert len(rows) > 2 and len(builds) == 1
 
 
 def test_localize_outputs(experiment, tmp_path):
@@ -201,6 +223,50 @@ def test_malformed_json_is_validation_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["simulate", "--config", str(p)]) == 2
+
+
+def test_non_utf8_config_is_validation_error(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigError):
+        load_config(p)
+    assert main(["eval", "--config", str(p)]) == 2
+
+
+def test_config_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def _bad_configs(tmp_path):
+    _, doc = make_config(tmp_path)
+    unknown_nested = json.loads(json.dumps(doc))
+    unknown_nested["model"]["learning_rate"] = 1e-3
+    del unknown_nested["geometry"]
+    loud = json.loads(json.dumps(doc))
+    loud["simulation"]["grid"][0]["snr_db"] = "loud"
+    loud["seed"] = -1
+    return [
+        {"seed": -1},
+        unknown_nested,
+        loud,
+        dict(doc, seed=-1, extra_section={}),
+        dict(doc, evaluation={"threshold": 0, "sloreta_lambda": -1}),
+        dict(doc, geometry={"n_regions": 4, "k_neighbors": 0}),
+        [],
+    ]
+
+
+def test_invalid_config_message_matches_jsonschema_validate(tmp_path):
+    path = tmp_path / "bad.json"
+    for doc in _bad_configs(tmp_path):
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        expected = (f"config invalid at {list(ref.value.absolute_path)}: "
+                    f"{ref.value.message}")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as got:
+            load_config(path)
+        assert str(got.value) == expected
 
 
 def test_unknown_key_rejected(tmp_path):

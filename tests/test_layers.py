@@ -120,6 +120,36 @@ def test_gru_matches_naive_oracle():
         np.testing.assert_allclose(out[i], naive_gru(x[i], w, u, b), atol=1e-10)
 
 
+def three_matmul_gru(x, w, u, b, reverse=False):
+    """The forward loop with one hidden-to-hidden matmul per gate."""
+    h = w.shape[0] // 3
+    bsz, T, _ = x.shape
+    xd = x[:, ::-1, :] if reverse else x
+    uz, ur, un = u[:h], u[h:2 * h], u[2 * h:]
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))
+    xw = xd @ w.T + b
+    hs = np.empty((T + 1, bsz, h))
+    hs[0] = 0.0
+    for t in range(T):
+        hp = hs[t]
+        z = sig(xw[:, t, :h] + hp @ uz.T)
+        r = sig(xw[:, t, h:2 * h] + hp @ ur.T)
+        n = np.tanh(xw[:, t, 2 * h:] + (r * hp) @ un.T)
+        hs[t + 1] = z * hp + (1.0 - z) * n
+    out = hs[1:].transpose(1, 0, 2)
+    return out[:, ::-1, :] if reverse else out
+
+
+@pytest.mark.parametrize("bsz", [1, 16])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_bits_match_three_matmul_loop(bsz, reverse):
+    # the model's sizes: h = n_regions // 2 = 32, d_in = 64, T = 128
+    w, u, b = _gru_params(32, 64, scale=0.1, seed=6)
+    x = RNG.standard_normal((bsz, 128, 64))
+    out = layers.gru_forward(x, w, u, b, reverse=reverse).data
+    assert np.array_equal(out, three_matmul_gru(x, w, u, b, reverse))
+
+
 def test_gru_zero_weights_zero_output():
     x = RNG.standard_normal((1, 5, 3))
     out = layers.gru_forward(x, np.zeros((6, 3)), np.zeros((6, 2)),

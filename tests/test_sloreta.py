@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from esikit.errors import ParameterError
+from esikit.errors import NumericalError, ParameterError
 from esikit.geometry import LeadField, build_lead_field, build_synthetic_source_space
-from esikit.sloreta import DEFAULT_LAMBDA, minimum_norm_kernel, sloreta_solve
+from esikit.sloreta import (
+    DEFAULT_LAMBDA,
+    minimum_norm_kernel,
+    sloreta_operator,
+    sloreta_solve,
+)
 
 RNG = np.random.Generator(np.random.PCG64(17))
 
@@ -66,11 +71,47 @@ def test_parameter_errors(system):
 
 def test_rank_deficient_lambda_zero():
     # duplicated channels make G G^T singular at lambda = 0
-    from esikit.errors import NumericalError
-
     g = RNG.standard_normal((1, 6))
     lf = LeadField(matrix=np.vstack([g, g]))
     with pytest.raises(NumericalError):
         # either the inversion fails outright or the standardization
         # diagonal collapses; both surface as a NumericalError
         sloreta_solve(lf, np.zeros((2, 3)), lam=0.0)
+
+
+def per_fragment_sloreta(lf, X, lam):
+    """The estimate with the kernel and diagonal rebuilt for one fragment."""
+    T = minimum_norm_kernel(lf, lam)
+    J = T @ X
+    return J / np.sqrt(np.einsum("sc,cs->s", T, lf.matrix))[:, None]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-6, DEFAULT_LAMBDA, 2.0])
+def test_operator_matches_solve_bitwise(system, lam):
+    _, lf = system
+    solve = sloreta_operator(lf, lam)
+    for n_t in (1, 10, 32):
+        X = RNG.standard_normal((8, n_t))
+        assert np.array_equal(solve(X), sloreta_solve(lf, X, lam))
+        assert np.array_equal(solve(X), per_fragment_sloreta(lf, X, lam))
+
+
+def test_operator_rank_deficient_lambda_zero_same_error():
+    g = RNG.standard_normal((1, 6))
+    lf = LeadField(matrix=np.vstack([g, g]))
+    X = RNG.standard_normal((2, 3))
+    with pytest.raises(NumericalError) as via_solve:
+        sloreta_solve(lf, X, lam=0.0)
+    with pytest.raises(NumericalError) as via_operator:
+        sloreta_operator(lf, 0.0)(X)
+    assert str(via_operator.value) == str(via_solve.value)
+    # a ridge makes the same lead field solvable, identically on both paths
+    assert np.array_equal(sloreta_operator(lf, 0.1)(X),
+                          sloreta_solve(lf, X, lam=0.1))
+
+
+def test_operator_channel_mismatch(system):
+    _, lf = system
+    solve = sloreta_operator(lf)
+    with pytest.raises(ParameterError, match="7 channels, lead field has 8"):
+        solve(np.zeros((7, 4)))
