@@ -2,7 +2,10 @@
 
 Each primitive is a forward computation plus a hand-derived vector-Jacobian
 product; :class:`Var` only records the call order so backward replays the
-VJPs. All math runs in float64. A central-difference checker
+VJPs. ``Var.backward`` consumes the graph it sweeps: intermediate nodes give
+up their cached activations and gradients as soon as the sweep has used
+them, only leaves and the root keep ``.grad``, and the graph cannot be
+swept twice. All math runs in float64. A central-difference checker
 (:func:`grad_check`) guards every gradient.
 
 Transforms use ``np.fft``. Scatters (the conv adjoint ``col2im`` and
@@ -16,6 +19,10 @@ from .errors import ParameterError
 
 # ---------------------------------------------------------------------------
 # tape
+
+
+def _consumed(g):
+    raise ParameterError("backward() through a graph an earlier backward() consumed")
 
 
 class Var:
@@ -34,7 +41,15 @@ class Var:
         return self.data.shape
 
     def backward(self, seed=None):
-        """Accumulate gradients into every reachable parent."""
+        """Accumulate gradients into every reachable leaf, consuming the graph.
+
+        The sweep frees each node's VJP closure, parent links and gradient as
+        soon as it has used them, so cached activations go as it runs. Leaves
+        (``Var``s built without a VJP) and this root keep their ``.grad``; a
+        second ``backward`` through the consumed graph raises. Gradients are
+        passed on without a copy, so a ``.grad`` may be a view or shared with
+        another leaf: copy it before writing into it.
+        """
         if seed is None:
             if self.data.size != 1:
                 raise ParameterError("backward() without seed needs a scalar output")
@@ -56,14 +71,23 @@ class Var:
         for node in topo:
             node.grad = None
         self.grad = np.asarray(seed, dtype=np.float64)
-        for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
+        while topo:
+            node = topo.pop()
+            vjp, parents, grad = node._vjp, node._parents, node.grad
+            if vjp is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
+            node._vjp, node._parents = _consumed, ()
+            if node is not self:
+                node.grad = None
+            if grad is None:
+                continue
+            # no VJP writes into its incoming gradient, so a parent may hold
+            # a VJP's output as is; order="C" keeps 0-d gradients 0-d
+            for parent, g in zip(parents, vjp(grad)):
                 if g is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+                    parent.grad = np.asarray(g, order="C")
                 else:
                     parent.grad = parent.grad + g
 
@@ -228,18 +252,33 @@ def tanh(x):
     return Var(t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
+def sigmoid_arrays(a):
+    """Logistic function of an array."""
+    return 1.0 / (1.0 + np.exp(-a))
+
+
 def sigmoid(x):
     x = as_var(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = sigmoid_arrays(x.data)
     return Var(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def elu(x):
-    """elu(x) = x for x >= 0, exp(x) - 1 otherwise."""
+    """elu(x) = x for x >= 0, exp(x) - 1 otherwise.
+
+    One exp and no mask: ``x - min(x, 0)`` is x where x >= 0 and +0.0 below,
+    and ``a = 1 - exp(min(x, 0))`` is +0.0 where x >= 0 and exactly
+    ``-(exp(x) - 1)`` below, so ``x - min(x, 0) - a`` is each branch bit for
+    bit, ``-0.0`` included. Only x = -inf gives nan instead of -1.
+    """
     x = as_var(x)
-    neg = np.exp(np.minimum(x.data, 0.0)) - 1.0
-    out = np.where(x.data >= 0.0, x.data, neg)
-    deriv = np.where(x.data >= 0.0, 1.0, neg + 1.0)
+    m = np.minimum(x.data, 0.0)
+    m += 0.0                            # -0.0 -> +0.0, so x - m keeps x's sign
+    out = x.data - m
+    np.exp(m, out=m)
+    a = np.subtract(1.0, m, out=m)
+    out -= a
+    deriv = np.subtract(1.0, a, out=a)  # (exp(x) - 1) + 1 below 0, 1.0 above
     return Var(out, (x,), lambda g: (g * deriv,))
 
 
@@ -252,10 +291,10 @@ def temp_softmax(x, tau, axis=-1):
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
     x = as_var(x)
-    z = x.data / tau
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = x.data / tau
+    s -= s.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         dot = (g * s).sum(axis=axis, keepdims=True)

@@ -84,7 +84,8 @@ def gru_forward(x, w, u, b, reverse=False):
     hs[0] = 0.0
     for t in range(T):
         hp = hs[t]
-        zr = _sig(xw[t, :, :2 * h] + hp @ uzr_t)  # z and r from one matmul
+        # z and r from one matmul
+        zr = ad.sigmoid_arrays(xw[t, :, :2 * h] + hp @ uzr_t)
         z, r = zr[:, :h], zr[:, h:]
         n = np.tanh(xw[t, :, 2 * h:] + (r * hp) @ un.T)
         zs[t], rs[t], ns[t] = z, r, n
@@ -95,12 +96,10 @@ def gru_forward(x, w, u, b, reverse=False):
 
     def vjp(g):
         gg = g[:, ::-1, :] if reverse else g
-        gx_rows = np.empty((T, bsz, d_in))
         d_az = np.empty((T, bsz, h))
         d_ar = np.empty((T, bsz, h))
         d_an = np.empty((T, bsz, h))
         carry = np.zeros((bsz, h))
-        wz_, wr_, wn_ = wd[:h], wd[h:2 * h], wd[2 * h:]
         for t in range(T - 1, -1, -1):
             gh = gg[:, t, :] + carry
             hp, z, r, n = hs[t], zs[t], rs[t], ns[t]
@@ -110,30 +109,25 @@ def gru_forward(x, w, u, b, reverse=False):
             dar = s * hp * r * (1.0 - r)
             carry = gh * z + daz @ uz + dar @ ur + s * r
             d_az[t], d_ar[t], d_an[t] = daz, dar, dan
-            gx_rows[t] = daz @ wz_ + dar @ wr_ + dan @ wn_
-        gx = gx_rows.transpose(1, 0, 2)
-        d_all = np.concatenate(
-            [d_az.reshape(-1, h), d_ar.reshape(-1, h), d_an.reshape(-1, h)], axis=1
-        )                                     # (T*B, 3h)
+        # the input gradient of every step after the loop, as three stacked
+        # matmuls; each step's slice is the (B, h) @ (h, d_in) product the
+        # loop would take, so the bits match at every batch size, B=1 too
+        gx = d_az @ wd[:h] + d_ar @ wd[h:2 * h] + d_an @ wd[2 * h:]
+        gx = gx.transpose(1, 0, 2)
+        daz_f, dar_f, dan_f = (d.reshape(-1, h) for d in (d_az, d_ar, d_an))
+        d_all = np.concatenate([daz_f, dar_f, dan_f], axis=1)   # (T*B, 3h)
         x_flat = xd.transpose(1, 0, 2).reshape(-1, d_in)
         gw = d_all.T @ x_flat
         hp_flat = hs[:-1].reshape(-1, h)
         rhp_flat = (rs * hs[:-1]).reshape(-1, h)
-        gu = np.concatenate([
-            d_az.reshape(-1, h).T @ hp_flat,
-            d_ar.reshape(-1, h).T @ hp_flat,
-            d_an.reshape(-1, h).T @ rhp_flat,
-        ], axis=0)
+        gu = np.concatenate([daz_f.T @ hp_flat, dar_f.T @ hp_flat,
+                             dan_f.T @ rhp_flat], axis=0)
         gb = d_all.sum(axis=0)
         if reverse:
             gx = gx[:, ::-1, :]
         return gx, gw, gu, gb
 
     return ad.Var(out, (xv, wv, uv, bv), vjp)
-
-
-def _sig(a):
-    return 1.0 / (1.0 + np.exp(-a))
 
 
 def bigru(x, params, prefix="gru"):

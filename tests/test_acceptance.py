@@ -27,7 +27,7 @@ from esikit.nmm import (
     simulate_jansen_rit,
 )
 from esikit.optim import AdamState
-from esikit.sloreta import sloreta_solve
+from esikit.sloreta import sloreta_operator, sloreta_solve
 
 SEED = 7
 RNG = np.random.Generator(np.random.PCG64(1234))
@@ -283,11 +283,11 @@ def toy_experiment(tmp_path_factory):
     result = fm.train(entries, cfg, epochs=30, seed=SEED, out_dir=root / "train")
     params, cfg2, _, _ = fm.load_checkpoint(root / "train" / "best")
     reports = {"fair": [], "sloreta": []}
+    sloreta = sloreta_operator(lf)
     for sample in iter_split(entries, "test"):
         reports["fair"].append(
             mx.evaluate(fm.forward(sample.X, params, cfg2).data, sample, space))
-        reports["sloreta"].append(
-            mx.evaluate(sloreta_solve(lf, sample.X), sample, space))
+        reports["sloreta"].append(mx.evaluate(sloreta(sample.X), sample, space))
     return {
         "root": root, "space": space, "lf": lf, "sim": sim, "cfg": cfg,
         "entries": entries, "result": result,

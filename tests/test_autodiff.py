@@ -120,6 +120,22 @@ def test_elu_values():
                                atol=1e-12)
 
 
+def test_elu_bits_match_select_and_keep_signed_zero():
+    # the masked two-select form, against the mask-free one exp of ad.elu
+    x = RNG.standard_normal(1000)
+    x[:6] = [-0.0, 0.0, -1e-300, 1e-300, -1e-17, np.nan]
+    neg = np.exp(np.minimum(x, 0.0)) - 1.0
+    ref_out = np.where(x >= 0.0, x, neg)
+    ref_deriv = np.where(x >= 0.0, 1.0, neg + 1.0)
+    xv = ad.Var(x)
+    y = ad.elu(xv)
+    y.backward(np.ones_like(x))
+    assert np.array_equal(y.data, ref_out, equal_nan=True)
+    assert np.array_equal(np.signbit(y.data), np.signbit(ref_out))
+    assert np.signbit(y.data[0]) and not np.signbit(y.data[2])
+    assert np.array_equal(xv.grad, ref_deriv, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # convolution values and adjointness
 
@@ -392,3 +408,29 @@ def test_backward_accumulates_across_reuse():
     out = ad.vsum(ad.add(ad.mul(x, x), x))    # d/dx (x^2 + x) = 2x + 1
     out.backward()
     np.testing.assert_allclose(x.grad, [7.0], atol=1e-12)
+
+
+def test_backward_consumes_graph_and_keeps_leaf_grads():
+    x = ad.Var(RNG.standard_normal((3, 4)))
+    w = ad.Var(RNG.standard_normal((4, 2)))
+    inner = [ad.matmul(x, w)]
+    inner.append(ad.tanh(inner[-1]))
+    inner.append(ad.mul(inner[-1], inner[-1]))
+    out = ad.vsum(inner[-1])
+    out.backward()
+    assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+    assert out.grad == 1.0
+    for v in inner:
+        assert v.grad is None and v._parents == ()
+    assert out._parents == ()
+
+
+def test_second_backward_raises():
+    x = ad.Var(np.array([1.0, 2.0]))
+    out = ad.vsum(ad.mul(x, x))
+    out.backward()
+    with pytest.raises(ParameterError, match="consumed"):
+        out.backward()
+    with pytest.raises(ParameterError, match="consumed"):
+        ad.mul(out, 2.0).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])

@@ -150,6 +150,50 @@ def test_gru_bits_match_three_matmul_loop(bsz, reverse):
     assert np.array_equal(out, three_matmul_gru(x, w, u, b, reverse))
 
 
+def in_loop_gru_input_grad(x, w, u, b, g, reverse=False):
+    """BPTT with the input gradient of each step taken inside the time loop."""
+    h = w.shape[0] // 3
+    bsz, T, d_in = x.shape
+    xd = x[:, ::-1, :] if reverse else x
+    gg = g[:, ::-1, :] if reverse else g
+    uz, ur, un = u[:h], u[h:2 * h], u[2 * h:]
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))
+    xw = (xd @ w.T + b).transpose(1, 0, 2)
+    hs = np.zeros((T + 1, bsz, h))
+    zs, rs, ns = (np.empty((T, bsz, h)) for _ in range(3))
+    for t in range(T):
+        hp = hs[t]
+        zr = sig(xw[t, :, :2 * h] + hp @ u[:2 * h].T)
+        z, r = zr[:, :h], zr[:, h:]
+        n = np.tanh(xw[t, :, 2 * h:] + (r * hp) @ un.T)
+        zs[t], rs[t], ns[t] = z, r, n
+        hs[t + 1] = z * hp + (1.0 - z) * n
+    gx_rows = np.empty((T, bsz, d_in))
+    carry = np.zeros((bsz, h))
+    for t in range(T - 1, -1, -1):
+        gh = gg[:, t, :] + carry
+        hp, z, r, n = hs[t], zs[t], rs[t], ns[t]
+        daz = gh * (hp - n) * z * (1.0 - z)
+        dan = gh * (1.0 - z) * (1.0 - n * n)
+        s = dan @ un
+        dar = s * hp * r * (1.0 - r)
+        carry = gh * z + daz @ uz + dar @ ur + s * r
+        gx_rows[t] = daz @ w[:h] + dar @ w[h:2 * h] + dan @ w[2 * h:]
+    gx = gx_rows.transpose(1, 0, 2)
+    return gx[:, ::-1, :] if reverse else gx
+
+
+@pytest.mark.parametrize("bsz", [1, 16])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_input_grad_bits_match_in_loop_matmuls(bsz, reverse):
+    w, u, b = _gru_params(32, 64, scale=0.1, seed=7)
+    x = RNG.standard_normal((bsz, 128, 64))
+    g = RNG.standard_normal((bsz, 128, 32))
+    xv = ad.Var(x)
+    layers.gru_forward(xv, w, u, b, reverse=reverse).backward(g)
+    assert np.array_equal(xv.grad, in_loop_gru_input_grad(x, w, u, b, g, reverse))
+
+
 def test_gru_zero_weights_zero_output():
     x = RNG.standard_normal((1, 5, 3))
     out = layers.gru_forward(x, np.zeros((6, 3)), np.zeros((6, 2)),

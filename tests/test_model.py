@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -225,6 +227,100 @@ def test_single_adam_step_decreases_loss():
 
 
 # ---------------------------------------------------------------------------
+# backward consumes the tape; a model step at the benchmark's sizes
+
+
+MODEL = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128)
+
+
+def keep_tape_backward(root):
+    """The sweep of a backward that keeps the tape: every node holds its VJP,
+    parents and gradient until the graph is dropped, and each first
+    gradient a node receives is a copy."""
+    topo, visited = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    for node in topo:
+        node.grad = None
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if g is None:
+                continue
+            if parent.grad is None:
+                parent.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            else:
+                parent.grad = parent.grad + g
+
+
+def read_only_backward(root):
+    """Var.backward with every gradient made read-only before a VJP reads it,
+    so a VJP that writes into its incoming gradient raises."""
+    def frozen(vjp):
+        def wrapped(g):
+            g.setflags(write=False)
+            return vjp(g)
+        return wrapped
+
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None:
+            node._vjp = frozen(node._vjp)
+        stack.extend(node._parents)
+    root.backward()
+
+
+@pytest.fixture(scope="module")
+def model_batch():
+    rng = np.random.Generator(np.random.PCG64(11))
+    return (fm.init_params(MODEL, seed=3), rng.standard_normal((16, 32, 128)),
+            rng.standard_normal((16, 64, 128)))
+
+
+def _model_step_grads(batch, sweep):
+    params, X, S = batch
+    pvars = fm._as_param_vars(params)
+    sweep(fm.loss(fm.forward(X, pvars, MODEL), S))
+    return {k: v.grad for k, v in pvars.items()}
+
+
+def test_backward_grads_match_keep_tape_loop(model_batch):
+    ref = _model_step_grads(model_batch, keep_tape_backward)
+    for sweep in (ad.Var.backward, read_only_backward):
+        grads = _model_step_grads(model_batch, sweep)
+        assert all(np.array_equal(grads[k], ref[k]) for k in ref)
+
+
+def test_backward_peak_memory_below_keep_tape_loop(model_batch):
+    peaks = {}
+    for sweep in (keep_tape_backward, ad.Var.backward):
+        tracemalloc.start()
+        try:
+            _model_step_grads(model_batch, sweep)
+            peaks[sweep] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[ad.Var.backward] <= 0.7 * peaks[keep_tape_backward], peaks
+
+
+# ---------------------------------------------------------------------------
 # checkpoints / training
 
 
@@ -263,6 +359,24 @@ def test_load_checkpoint_drops_legacy_gru_hidden(tmp_path):
     _, cfg, epoch, _ = fm.load_checkpoint(tmp_path / "ck")
     assert cfg == TOY
     assert epoch == 2
+
+
+def test_keep_freed_pages_sets_glibc_thresholds_once(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    musl = types.SimpleNamespace(mallopt=mallopt)
+    glibc = types.SimpleNamespace(mallopt=mallopt, gnu_get_libc_version=lambda: b"2.36")
+    for libc, expected in ((musl, []), (glibc, [(-3, 32 << 20), (-1, 256 << 20)])):
+        fm._keep_freed_pages.cache_clear()
+        monkeypatch.setattr(fm.ctypes, "CDLL", lambda name, libc=libc: libc)
+        fm._keep_freed_pages()
+        fm._keep_freed_pages()
+        assert calls == expected
+    fm._keep_freed_pages.cache_clear()
 
 
 def test_train_best_val_monotone(tiny_dataset, tmp_path):
