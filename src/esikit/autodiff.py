@@ -2,11 +2,13 @@
 
 Each primitive is a forward computation plus a hand-derived vector-Jacobian
 product; :class:`Var` only records the call order so backward replays the
-VJPs. ``Var.backward`` consumes the graph it sweeps: intermediate nodes give
-up their cached activations and gradients as soon as the sweep has used
-them, only leaves and the root keep ``.grad``, and the graph cannot be
-swept twice. All math runs in float64. A central-difference checker
-(:func:`grad_check`) guards every gradient.
+VJPs. Arrays passed to a primitive are constants, and so is every node built
+from constants alone: it keeps no VJP, so a graph without a tracked leaf
+holds no tape. ``Var.backward`` consumes the graph it sweeps: intermediate
+nodes give up their cached activations and gradients as soon as the sweep
+has used them, only tracked leaves and the root keep ``.grad``, and the
+graph cannot be swept twice. All math runs in float64. A central-difference
+checker (:func:`grad_check`) guards every gradient.
 
 Transforms use ``np.fft``. Scatters (the conv adjoint ``col2im`` and
 overlap-add) are strided slice-adds made in a fixed order, so their sums
@@ -26,29 +28,41 @@ def _consumed(g):
 
 
 class Var:
-    """An ndarray node on the backward tape."""
+    """An ndarray node on the backward tape.
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    ``Var(x)`` is a tracked leaf: ``backward`` gives it a ``.grad``. A
+    constant (``tracked`` False) never receives a gradient: :func:`as_var`
+    makes one of every array it wraps, and a node whose parents are all
+    constants becomes one too, dropping its VJP closure and the activations
+    that closure cached.
+    """
+
+    __slots__ = ("data", "grad", "tracked", "_parents", "_vjp")
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = parents
-        self._vjp = vjp
+        self.tracked = vjp is None or any(p.tracked for p in parents)
+        if self.tracked:
+            self._parents, self._vjp = parents, vjp
+        else:
+            self._parents, self._vjp = (), None
 
     @property
     def shape(self):
         return self.data.shape
 
     def backward(self, seed=None):
-        """Accumulate gradients into every reachable leaf, consuming the graph.
+        """Accumulate gradients into every reachable tracked leaf, consuming
+        the graph.
 
-        The sweep frees each node's VJP closure, parent links and gradient as
-        soon as it has used them, so cached activations go as it runs. Leaves
-        (``Var``s built without a VJP) and this root keep their ``.grad``; a
-        second ``backward`` through the consumed graph raises. Gradients are
-        passed on without a copy, so a ``.grad`` may be a view or shared with
-        another leaf: copy it before writing into it.
+        The sweep neither visits constants nor hands gradients to them. It
+        frees each node's VJP closure, parent links and gradient as soon as it
+        has used them, so cached activations go as it runs. Tracked leaves
+        (``Var(x)``) and this root keep their ``.grad``; a second ``backward``
+        through the consumed graph raises. Gradients are passed on without a
+        copy, so a ``.grad`` may be a view or shared with another leaf: copy
+        it before writing into it.
         """
         if seed is None:
             if self.data.size != 1:
@@ -66,7 +80,7 @@ class Var:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p.tracked and id(p) not in visited:
                     stack.append((p, False))
         for node in topo:
             node.grad = None
@@ -84,7 +98,7 @@ class Var:
             # no VJP writes into its incoming gradient, so a parent may hold
             # a VJP's output as is; order="C" keeps 0-d gradients 0-d
             for parent, g in zip(parents, vjp(grad)):
-                if g is None:
+                if g is None or not parent.tracked:
                     continue
                 if parent.grad is None:
                     parent.grad = np.asarray(g, order="C")
@@ -119,7 +133,12 @@ class Var:
 
 
 def as_var(x):
-    return x if isinstance(x, Var) else Var(x)
+    """``x`` itself if it is a ``Var``, else a constant holding it."""
+    if isinstance(x, Var):
+        return x
+    v = Var(x)
+    v.tracked = False
+    return v
 
 
 def _unbroadcast(grad, shape):
@@ -536,7 +555,7 @@ def grad_check(f, inputs, h=1e-5, max_coords_per_input=None, seed=0):
     out.backward()
 
     def eval_at(xs):
-        return float(f(*[Var(x) for x in xs]).data)
+        return float(f(*[as_var(x) for x in xs]).data)
 
     worst = 0.0
     for i, x in enumerate(base):

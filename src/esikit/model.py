@@ -261,15 +261,16 @@ def fair_block(grid, params, cfg, block_idx=0, trace=None):
 
 
 def _as_param_vars(params):
-    return {k: ad.as_var(v) for k, v in params.items()}
+    """Tracked leaves for training: ``backward`` fills each one's ``.grad``."""
+    return {k: v if isinstance(v, ad.Var) else ad.Var(v) for k, v in params.items()}
 
 
 def forward(X, params, cfg, return_trace=False):
     """Scalp fragment(s) -> source estimate(s).
 
     X is an array (n_channels, n_timepoints) or a (batch, ...) stack;
-    parameters may be ndarrays or Vars (Vars keep the tape alive for
-    training). Returns a Var; ``.data`` is the estimate.
+    parameters may be ndarrays, which build no tape, or tracked Vars, which
+    keep it for training. Returns a Var; ``.data`` is the estimate.
     """
     x_data = np.asarray(X, dtype=np.float64)
     single = x_data.ndim == 2
@@ -287,10 +288,10 @@ def forward(X, params, cfg, return_trace=False):
     # so the estimate scales linearly with the input all the way down
     scales = np.max(np.abs(x_data), axis=(1, 2))
     xn = x_data / np.where(scales == 0.0, 1.0, scales)[:, None, None]
-    pvars = _as_param_vars(params)
+    pvars = {k: ad.as_var(v) for k, v in params.items()}
 
     grid_np = extract_patches(xn, cfg.patch_len, cfg.overlap)
-    g = ad.Var(grid_np.patches)
+    g = ad.as_var(grid_np.patches)
     trace = RefinementTrace() if return_trace else None
     for n in range(cfg.n_blocks):
         g = fair_block(g, pvars, cfg, block_idx=n,
@@ -309,7 +310,7 @@ def forward(X, params, cfg, return_trace=False):
     up = ad.add(up, ad.reshape(pvars["head.up_b"], (-1, 1)))
     up_t = ad.transpose(up, (0, 2, 1))                       # (b, n_t, n_s)
 
-    xn_t = ad.transpose(ad.Var(xn), (0, 2, 1))               # (b, n_t, n_c)
+    xn_t = ad.transpose(ad.as_var(xn), (0, 2, 1))            # (b, n_t, n_c)
     mlp_t = layers.mlp(xn_t, [(pvars["head.mlp_w1"], pvars["head.mlp_b1"]),
                               (pvars["head.mlp_w2"], pvars["head.mlp_b2"])])
     res_t = layers.linear(xn_t, pvars["head.res_w"])
@@ -332,7 +333,7 @@ def loss(s_hat, s_true):
     if sh.shape != st.shape:
         raise ParameterError(f"loss: shapes differ, {sh.shape} vs {st.shape}")
     n_s = st.shape[-2]
-    diff = sh - ad.Var(st)
+    diff = sh - ad.as_var(st)
     sq = ad.mul(diff, diff)
     total = ad.vsum(sq)
     batch = int(np.prod(st.shape[:-2])) if st.ndim > 2 else 1

@@ -4,11 +4,14 @@ The three-population model is integrated with fixed-step RK4; the external
 firing-rate input p(t) is drawn on a fixed 1 ms grid and held piecewise
 constant, so refining the integration step converges to the same waveform.
 
-Each RK4 step is written out on six Python floats, one oscillator at a time:
-at the 1-3 oscillators a sample needs, that beats a vectorised numpy state,
-and a waveform's bits depend only on its parameters and seed. Datasets are
-generated sample by sample in one thread; the loop holds the GIL, so threads
-would not run it any faster.
+The integrator is one flat loop on six Python floats, one oscillator at a
+time: at the 1-3 oscillators a sample needs, that beats a vectorised numpy
+state, and a waveform's bits depend only on its parameters and seed. Each
+step writes out its four RK4 stages (12 clamped sigmoids, 12 accelerations)
+inline, calling only ``math.exp``; the steps that record a sample and each
+step's drive value are listed before the loop starts, so a step only
+compares its index with the next recording step. Datasets are generated sample by sample in
+one thread; the loop holds the GIL, so threads would not run it any faster.
 """
 
 import json
@@ -121,63 +124,110 @@ def simulate_jansen_rit(params, n_timepoints, sample_rate, seed):
     dt = p.dt
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     exp = math.exp
-
-    def accel(d, u0, u1, u2, u3, u4, u5):
-        # (y3', y4', y5'); S clamps to 0 where its exponent exceeds 500,
-        # since the sigmoid saturates long before exp overflows
-        z = rs * (v0 - (u1 - u2))
-        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
-        f3 = Aa * s - a_2 * u3 - a2 * u0
-        z = rs * (v0 - c1 * u0)
-        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
-        f4 = Aa * (d + c2 * s) - a_2 * u4 - a2 * u1
-        z = rs * (v0 - c3 * u0)
-        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
-        f5 = Bbc4 * s - b_2 * u5 - b2 * u2
-        return f3, f4, f5
-
-    y0 = y1 = y2 = y3 = y4 = y5 = 0.0
+    # The sample schedule and the drive are fixed before the first step:
+    # record_at lists the steps that record y1 - y2 (the float recurrence
+    # below, capped at n_timepoints, then a -1 sentinel no step reaches), and
+    # drive_at holds each step's piecewise-constant input. The index must stay
+    # k * (dt / INPUT_DT): (k * dt) / INPUT_DT rounds differently at some k.
     steps_per_sample = 1.0 / (sample_rate * dt)
     next_sample = p.burn_in / dt
-    samples = []
-    dt_over_input = dt / INPUT_DT
+    record_at = []
     for k in range(n_steps + 1):
-        if k >= next_sample - 1e-9 and len(samples) < n_timepoints:
-            samples.append(y1 - y2)
+        if len(record_at) == n_timepoints:
+            break
+        if k >= next_sample - 1e-9:
+            record_at.append(k)
             next_sample += steps_per_sample
-        d = drive[int(k * dt_over_input)]
-        # RK4 stage j > 1 evaluates accel at positions y0..y2 + h * (stage
-        # j-1 velocities) and velocities v*_j = y3..y5 + h * (stage j-1
-        # accelerations f*_{j-1}), with h = dt/2, dt/2, dt
-        f3_1, f4_1, f5_1 = accel(d, y0, y1, y2, y3, y4, y5)
+    record_at.append(-1)
+    dt_over_input = dt / INPUT_DT
+    drive_at = [drive[int(k * dt_over_input)] for k in range(n_steps + 1)]
+
+    y0 = y1 = y2 = y3 = y4 = y5 = 0.0
+    samples = []
+    record_k = record_at[0]
+    for k, d in enumerate(drive_at):
+        if k == record_k:
+            samples.append(y1 - y2)
+            record_k = record_at[len(samples)]
+        # Stage j evaluates the accelerations (y3', y4', y5') = (f3_j, f4_j,
+        # f5_j) at positions u0..u2 and velocities v3_j..v5_j: stage 1 at the
+        # state itself, stage j > 1 at y0..y2 + h * (stage j-1 velocities) and
+        # y3..y5 + h * (stage j-1 accelerations), with h = dt/2, dt/2, dt.
+        # S clamps to 0 where its exponent exceeds 500, since the sigmoid
+        # saturates long before exp overflows.
+        z = rs * (v0 - (y1 - y2))
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f3_1 = Aa * s - a_2 * y3 - a2 * y0
+        z = rs * (v0 - c1 * y0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f4_1 = Aa * (d + c2 * s) - a_2 * y4 - a2 * y1
+        z = rs * (v0 - c3 * y0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f5_1 = Bbc4 * s - b_2 * y5 - b2 * y2
+
+        u0 = y0 + half_dt * y3
+        u1 = y1 + half_dt * y4
+        u2 = y2 + half_dt * y5
         v3_2 = y3 + half_dt * f3_1
         v4_2 = y4 + half_dt * f4_1
         v5_2 = y5 + half_dt * f5_1
-        f3_2, f4_2, f5_2 = accel(d, y0 + half_dt * y3, y1 + half_dt * y4,
-                                 y2 + half_dt * y5, v3_2, v4_2, v5_2)
+        z = rs * (v0 - (u1 - u2))
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f3_2 = Aa * s - a_2 * v3_2 - a2 * u0
+        z = rs * (v0 - c1 * u0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f4_2 = Aa * (d + c2 * s) - a_2 * v4_2 - a2 * u1
+        z = rs * (v0 - c3 * u0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f5_2 = Bbc4 * s - b_2 * v5_2 - b2 * u2
+
+        u0 = y0 + half_dt * v3_2
+        u1 = y1 + half_dt * v4_2
+        u2 = y2 + half_dt * v5_2
         v3_3 = y3 + half_dt * f3_2
         v4_3 = y4 + half_dt * f4_2
         v5_3 = y5 + half_dt * f5_2
-        f3_3, f4_3, f5_3 = accel(d, y0 + half_dt * v3_2, y1 + half_dt * v4_2,
-                                 y2 + half_dt * v5_2, v3_3, v4_3, v5_3)
+        z = rs * (v0 - (u1 - u2))
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f3_3 = Aa * s - a_2 * v3_3 - a2 * u0
+        z = rs * (v0 - c1 * u0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f4_3 = Aa * (d + c2 * s) - a_2 * v4_3 - a2 * u1
+        z = rs * (v0 - c3 * u0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f5_3 = Bbc4 * s - b_2 * v5_3 - b2 * u2
+
+        u0 = y0 + dt * v3_3
+        u1 = y1 + dt * v4_3
+        u2 = y2 + dt * v5_3
         v3_4 = y3 + dt * f3_3
         v4_4 = y4 + dt * f4_3
         v5_4 = y5 + dt * f5_3
-        f3_4, f4_4, f5_4 = accel(d, y0 + dt * v3_3, y1 + dt * v4_3,
-                                 y2 + dt * v5_3, v3_4, v4_4, v5_4)
+        z = rs * (v0 - (u1 - u2))
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f3_4 = Aa * s - a_2 * v3_4 - a2 * u0
+        z = rs * (v0 - c1 * u0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f4_4 = Aa * (d + c2 * s) - a_2 * v4_4 - a2 * u1
+        z = rs * (v0 - c3 * u0)
+        s = 0.0 if z > 500.0 else e0_2 / (1.0 + exp(z))
+        f5_4 = Bbc4 * s - b_2 * v5_4 - b2 * u2
+
         y0 += sixth_dt * (y3 + 2.0 * v3_2 + 2.0 * v3_3 + v3_4)
         y1 += sixth_dt * (y4 + 2.0 * v4_2 + 2.0 * v4_3 + v4_4)
         y2 += sixth_dt * (y5 + 2.0 * v5_2 + 2.0 * v5_3 + v5_4)
         y3 += sixth_dt * (f3_1 + 2.0 * f3_2 + 2.0 * f3_3 + f3_4)
         y4 += sixth_dt * (f4_1 + 2.0 * f4_2 + 2.0 * f4_3 + f4_4)
         y5 += sixth_dt * (f5_1 + 2.0 * f5_2 + 2.0 * f5_3 + f5_4)
-        if abs(y0) > 1e6 or abs(y1) > 1e6 or abs(y2) > 1e6:
+        # abs(y) > 1e6 written as two compares: NaN trips neither, inf one
+        if (y0 > 1e6 or y0 < -1e6 or y1 > 1e6 or y1 < -1e6
+                or y2 > 1e6 or y2 < -1e6):
             raise InstabilityError(
                 f"Jansen-Rit integration blew up at t={k * dt:.4f}s with {params}"
             )
     if len(samples) < n_timepoints:
         raise ParameterError("integration window shorter than requested waveform")
-    wave = np.asarray(samples[:n_timepoints])
+    wave = np.asarray(samples)
     return wave - wave.mean()
 
 

@@ -434,3 +434,30 @@ def test_second_backward_raises():
     with pytest.raises(ParameterError, match="consumed"):
         ad.mul(out, 2.0).backward()
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_constant_graph_holds_no_closures():
+    a = ad.as_var(RNG.standard_normal((2, 8)))
+    b = ad.as_var(RNG.standard_normal((8, 3)))
+    re, im = ad.fft(ad.tanh(a))
+    out = ad.vsum(ad.matmul(ad.ifft(ad.temp_softmax(re, 0.5), im), b))
+    assert not a.tracked and not b.tracked
+    assert not out.tracked and out._vjp is None and out._parents == ()
+    out.backward()
+    assert out.grad == 1.0 and a.grad is None and b.grad is None
+
+
+def test_backward_skips_constant_branches():
+    # a tracked leaf times a constant subgraph: only the leaf gets a gradient,
+    # and the constant branch is folded into constants as it is built
+    x_data, c_data = RNG.standard_normal((3, 4)), RNG.standard_normal((3, 4))
+    x, c = ad.Var(x_data), ad.as_var(c_data)
+    branch = ad.tanh(ad.mul(c, 2.0))
+    out = ad.vsum(ad.mul(x, branch))
+    assert x.tracked and out.tracked and not branch.tracked
+    assert branch._vjp is None
+    out.backward()
+    np.testing.assert_array_equal(x.grad, np.tanh(c_data * 2.0))
+    assert c.grad is None and branch.grad is None
+    # Var(x) stays a tracked leaf and as_var passes Vars through untouched
+    assert ad.as_var(x) is x and ad.Var(c_data).tracked

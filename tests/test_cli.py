@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import json
 import shutil
 import xml.dom.minidom
@@ -310,3 +313,43 @@ def test_gru_hidden_key_rejected(tmp_path):
     doc["model"]["gru_hidden"] = 8        # fixed at n_regions // 2
     config.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# bit-reproducible runs: the same-bytes scenario, twice in one process
+
+
+def _load_samebytes():
+    path = Path(__file__).resolve().parent.parent / "tools" / "samebytes.py"
+    spec = importlib.util.spec_from_file_location("samebytes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rerun_writes_identical_bytes(tmp_path, monkeypatch):
+    # simulate, train, a resume into the same and into a new directory, eval
+    # with both solvers and localize, run twice: every file and every stdout
+    # must be the same, so a rerun reproduces a run bit for bit
+    samebytes = _load_samebytes()
+    runs = {}
+    for label in ("a", "b"):
+        root = tmp_path / label
+        root.mkdir()
+        monkeypatch.chdir(root)
+
+        def esi(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            return code, out.getvalue()
+
+        transcript = samebytes.run_scenario(root, esi)
+        runs[label] = (transcript, samebytes.output_files(root))
+    (trans_a, files_a), (trans_b, files_b) = runs["a"], runs["b"]
+    assert [code for code, _ in trans_a] == [0] * len(samebytes.STEPS)
+    assert "resumed at epoch 3" in trans_a[2][1]
+    assert {"train/best/model.json", "resumed/train_log.csv",
+            "eval/eval_fair.csv", "eval/eval_sloreta.csv",
+            "localize/estimate.esit"} <= set(files_a)
+    assert samebytes.differences(files_a, files_b, trans_a, trans_b) == []

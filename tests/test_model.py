@@ -84,6 +84,30 @@ def test_spectral_reweight_variant():
     assert not np.allclose(replace, reweight)
 
 
+def test_spectral_reweight_oracle_and_grad():
+    # reweight=True keeps each spectrum scaled by its own softmax weights:
+    # real(ifft(re * softmax(re / tau) + 1j * im * softmax(im / tau)))
+    rng = np.random.Generator(np.random.PCG64(19))
+    grid = rng.standard_normal((2, 2, 3, 8))
+    tau = 0.5
+
+    def softmax(v):
+        e = np.exp((v - v.max(axis=-1, keepdims=True)) / tau)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    spec = np.fft.fft(grid, axis=-1)
+    re, im = spec.real, spec.imag
+    expected = np.real(np.fft.ifft(re * softmax(re) + 1j * (im * softmax(im)), axis=-1))
+    out = fm.spectral_refine(grid, tau, reweight=True).data
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    w = rng.standard_normal(grid.shape)
+    err = ad.grad_check(
+        lambda g: ad.vsum(ad.mul(fm.spectral_refine(g, tau, reweight=True), w)),
+        [grid])
+    assert err < 1e-7
+
+
 def test_temporal_refine_constant_and_spike():
     const = fm.temporal_refine(np.full((1, 1, 2, 8), 3.0), tau=0.1).data
     np.testing.assert_allclose(const, 1.0 / 8, atol=1e-12)
@@ -318,6 +342,25 @@ def test_backward_peak_memory_below_keep_tape_loop(model_batch):
         finally:
             tracemalloc.stop()
     assert peaks[ad.Var.backward] <= 0.7 * peaks[keep_tape_backward], peaks
+
+
+def test_ndarray_param_forward_builds_no_tape(model_batch):
+    # ndarray params make every node a constant, so a b=1 forward frees each
+    # activation once its consumers have run instead of holding the graph
+    params, X, _ = model_batch
+    peaks, outs = {}, {}
+    for mode in ("tracked", "constant"):
+        p = fm._as_param_vars(params) if mode == "tracked" else params
+        tracemalloc.start()
+        try:
+            outs[mode] = fm.forward(X[0], p, MODEL)
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(outs["constant"].data, outs["tracked"].data)
+    assert outs["tracked"]._vjp is not None
+    assert not outs["constant"].tracked and outs["constant"]._parents == ()
+    assert peaks["constant"] <= 0.5 * peaks["tracked"], peaks
 
 
 # ---------------------------------------------------------------------------

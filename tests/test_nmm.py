@@ -89,6 +89,15 @@ GOLDEN_WAVEFORMS = [
     # 1 / (300 Hz * dt) = 33.33 steps per sample: a non-integer schedule
     ("300hz", ALPHA_PRESET, 150, 300.0, 4,
      "f5588f7de3e19a365998e12c81af9fef7a3504459da2845625ddf5fb2556d112"),
+    # no burn-in: the first sample is recorded at step k = 0
+    ("burn0", replace(ALPHA_PRESET, burn_in=0.0), 128, 250.0, 5,
+     "13d0ca0515b213fc1fbd8ccca85b34150a4877fd902c6ee7e65c38427d3f972d"),
+    # dt = INPUT_DT: one step per drive value
+    ("dt1e-3", replace(ALPHA_PRESET, dt=1e-3), 128, 250.0, 6,
+     "13e4a6eefc29724fb0f1c0c8ea6568f1ba4ed4ab8a87df8a911bcc46fc7623af"),
+    # 1000 Hz: an integer schedule of 10 steps per sample
+    ("1000hz", ALPHA_PRESET, 256, 1000.0, 8,
+     "3d56094c7388691fad7db07f52b1ffdcaea65975a8ff85a48d9a3f2e51da5c54"),
 ]
 
 
@@ -103,8 +112,11 @@ def test_waveform_golden_bits(params, n, rate, seed, digest):
 def test_unstable_parameters_raise_instability():
     # a valid parameter set whose drive pushes y1 past the 1e6 mV guard
     runaway = replace(ALPHA_PRESET, input_mean=1e9, burn_in=0.1)
-    with pytest.raises(InstabilityError, match="blew up"):
+    with pytest.raises(InstabilityError) as err:
         simulate_jansen_rit(runaway, 32, 250.0, seed=0)
+    # the exact message pins the step on which the guard trips
+    assert str(err.value) == (
+        f"Jansen-Rit integration blew up at t=0.0027s with {runaway}")
 
 
 def test_simulate_parameter_errors():

@@ -1,0 +1,150 @@
+"""Check that a change leaves every output byte of the ``esi`` commands as is.
+
+    python3 tools/samebytes.py --against REV
+
+Exports REV with ``git archive`` into a temporary directory, then runs one
+tiny experiment through all five commands once with REV's ``src/`` and once
+with this checkout's: simulate, train, a resume into the same directory and
+into a new one, eval with both solvers, and localize. It prints every output
+file that differs or exists on one side only, and every command whose exit
+code or stdout differs. Exits 1 if there is any such difference or a
+command fails on either side, 2 if REV cannot be exported, 0 otherwise.
+
+Both sides run on this machine, so the comparison holds whatever BLAS build
+the machine has; no hash is committed. The experiment is the list ``STEPS``
+run by :func:`run_scenario`, which ``tests/test_cli.py`` also runs twice in
+one process to check that a rerun writes the same bytes.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 16 regions, 8 channels, a noisy and a noiseless cell of 13 samples each:
+# 22 training samples at batch size 3, so every epoch ends on a b=1 step.
+CONFIG = {
+    "seed": 5,
+    "geometry": {"n_regions": 16, "k_neighbors": 3, "n_channels": 8},
+    "simulation": {
+        "n_timepoints": 32,
+        "sample_rate": 100.0,
+        "grid": [{"snr_db": 5, "n_sources": 1, "extent": 2},
+                 {"snr_db": "inf", "n_sources": 1, "extent": 1}],
+        "n_samples_per_cell": 13,
+    },
+    "model": {"patch_len": 8, "overlap": 4, "attention_dim": 4,
+              "mlp_hidden": 8, "batch_size": 3, "lr": 1e-3},
+    "training": {"epochs": 3},
+    "evaluation": {},
+    "paths": {"workdir": "data"},
+}
+
+# Each step's argv, run in the scenario's directory.
+STEPS = [
+    ["simulate", "--config", "config.json"],
+    ["train", "--config", "config.json", "--out", "train"],
+    ["train", "--config", "config.json", "--out", "train",
+     "--checkpoint", "train/best"],
+    ["train", "--config", "config.json", "--out", "resumed",
+     "--checkpoint", "train/best"],
+    ["eval", "--config", "config.json", "--out", "eval", "--solver", "both",
+     "--checkpoint", "train/best"],
+    ["localize", "--config", "config.json", "--out", "localize",
+     "--checkpoint", "resumed/best",
+     "--fragment", "data/sample_000_000011.X.esit"],
+]
+
+
+def run_scenario(root, esi):
+    """Write the config into ``root`` and run ``STEPS`` through ``esi``.
+
+    ``esi(argv)`` runs one command with ``root`` as its working directory and
+    returns ``(exit_code, stdout)``. Returns the list of those pairs.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "config.json").write_text(json.dumps(CONFIG, indent=2))
+    return [esi(argv) for argv in STEPS]
+
+
+def output_files(root):
+    """Every file under ``root``, by path relative to it."""
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def differences(files_a, files_b, transcript_a, transcript_b):
+    """One line per file or command that is not the same on both sides."""
+    lines = []
+    for name in sorted(set(files_a) | set(files_b)):
+        if name not in files_b:
+            lines.append(f"only in A: {name}")
+        elif name not in files_a:
+            lines.append(f"only in B: {name}")
+        elif files_a[name] != files_b[name]:
+            lines.append(f"differs: {name}")
+    for argv, a, b in zip(STEPS, transcript_a, transcript_b):
+        if a[0] or b[0]:
+            lines.append(f"command failed: esi {' '.join(argv)} "
+                         f"(exit {a[0]} in A, {b[0]} in B)")
+        elif a != b:
+            lines.append(f"command output differs: esi {' '.join(argv)}\n"
+                         f"  A: exit {a[0]}, stdout {a[1]!r}\n"
+                         f"  B: exit {b[0]}, stdout {b[1]!r}")
+    return lines
+
+
+def subprocess_esi(src, root):
+    """An ``esi`` that runs ``python -m esikit.cli`` from ``src`` in ``root``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def esi(argv):
+        done = subprocess.run([sys.executable, "-m", "esikit.cli", *argv],
+                              cwd=root, env=env, capture_output=True, text=True)
+        if done.returncode:
+            sys.stderr.write(done.stderr)
+        return done.returncode, done.stdout
+    return esi
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", required=True,
+                        help="git revision to compare this checkout with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="samebytes-") as tmp:
+        tmp = Path(tmp)
+        tree = tmp / "rev"
+        tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
+                                 capture_output=True)
+        if archive.returncode:
+            sys.stderr.write(archive.stderr.decode(errors="replace"))
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout,
+                       check=True)
+        sides = {}
+        for label, src in (("A", tree / "src"), ("B", ROOT / "src")):
+            out = tmp / label
+            out.mkdir()
+            sides[label] = (run_scenario(out, subprocess_esi(src, out)),
+                            output_files(out))
+        (trans_a, files_a), (trans_b, files_b) = sides["A"], sides["B"]
+    print(f"A: {args.against}; B: the checkout at {ROOT}")
+    lines = differences(files_a, files_b, trans_a, trans_b)
+    for line in lines:
+        print(line)
+    print(f"{len(files_a)} files in A, {len(files_b)} in B, "
+          f"{len(lines)} differences")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
