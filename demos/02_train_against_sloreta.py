@@ -12,8 +12,8 @@ from pathlib import Path
 
 from esikit import metrics as mx
 from esikit.geometry import build_lead_field, build_synthetic_source_space
-from esikit.model import FairConfig, forward, load_checkpoint, train
-from esikit.nmm import SimulationConfig, generate_dataset, iter_split, load_manifest
+from esikit.model import FairConfig, load_checkpoint, solve_split, train
+from esikit.nmm import SimulationConfig, generate_dataset, load_manifest
 from esikit.sloreta import sloreta_operator
 
 workdir = Path(tempfile.mkdtemp(prefix="esikit_demo_"))
@@ -36,9 +36,8 @@ for epoch, tr, va, lr in result.history:
 params, cfg, _, _ = load_checkpoint(result.checkpoint_dir)
 reports = {"learned": [], "sloreta": []}
 sloreta = sloreta_operator(lf)    # kernel and resolution diagonal, built once
-for sample in iter_split(entries, "test"):
-    reports["learned"].append(
-        mx.evaluate(forward(sample.X, params, cfg).data, sample, space))
+for sample, s_hat in solve_split(entries, params, cfg):   # fragments in pairs
+    reports["learned"].append(mx.evaluate(s_hat, sample, space))
     reports["sloreta"].append(mx.evaluate(sloreta(sample.X), sample, space))
 
 print(f"\n{'solver':<10}{'precision':>10}{'recall':>8}{'LE mm':>8}"

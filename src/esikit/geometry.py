@@ -6,6 +6,7 @@ connected by a symmetrized k-nearest-neighbor graph. Sensors sit on a
 perturbation and unit-normalized columns.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,13 @@ class SourceSpace:
     @property
     def n_regions(self):
         return self.centroids.shape[0]
+
+    @functools.cached_property
+    def centroid_distances(self):
+        """(n_regions, n_regions) Euclidean distances (mm) between centroids,
+        built on first use and kept with the space."""
+        c = self.centroids
+        return np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ParameterError, UndefinedResultError
-from .geometry import RegionSet
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -36,7 +35,10 @@ def region_energy(s_hat):
 
 def threshold_active(s_hat, threshold=DEFAULT_THRESHOLD):
     """Regions whose energy reaches ``threshold`` times the max energy."""
-    e = region_energy(s_hat)
+    return _active(region_energy(s_hat), threshold)
+
+
+def _active(e, threshold):
     if not np.all(np.isfinite(e)):
         raise NumericalError("estimate contains non-finite values")
     peak = e.max()
@@ -59,7 +61,10 @@ def precision_recall(est, gt):
 
 def peak_region(s_hat):
     """Index of the max-energy region (smallest index on ties)."""
-    e = region_energy(s_hat)
+    return _peak(region_energy(s_hat))
+
+
+def _peak(e):
     if e.max() == 0.0:
         raise UndefinedResultError("all-zero estimate has no peak region")
     return int(np.argmax(e))
@@ -67,7 +72,11 @@ def peak_region(s_hat):
 
 def localization_error(s_hat, gt, space):
     """Distance (mm) from the peak region to the nearest ground-truth centroid."""
-    peak = peak_region(s_hat)
+    return _localization_error(region_energy(s_hat), gt, space)
+
+
+def _localization_error(e, gt, space):
+    peak = _peak(e)
     gt = set(gt)
     if not gt:
         raise ParameterError("ground truth must be non-empty")
@@ -79,12 +88,14 @@ def localization_error(s_hat, gt, space):
 
 def spatial_dispersion(s_hat, gt, space):
     """Energy-weighted RMS distance (mm) of the estimate to the ground truth."""
-    e = region_energy(s_hat)
+    return _spatial_dispersion(region_energy(s_hat), gt, space)
+
+
+def _spatial_dispersion(e, gt, space):
     if e.max() == 0.0:
         raise UndefinedResultError("all-zero estimate has no spatial dispersion")
     gt = sorted(set(gt))
-    c = space.centroids
-    d = np.min(np.linalg.norm(c[:, None, :] - c[None, gt, :], axis=-1), axis=1)
+    d = np.min(space.centroid_distances[:, gt], axis=1)
     d[gt] = 0.0
     return float(np.sqrt(np.sum(d * d * e) / np.sum(e)))
 
@@ -104,12 +115,11 @@ def evaluate(s_hat, sample, space, threshold=DEFAULT_THRESHOLD):
     gt_union = set()
     for fp in sample.ground_truth:
         gt_union |= set(fp.regions)
-    est = threshold_active(s_hat, threshold)
-    precision, recall = precision_recall(est, gt_union)
-    gt_set = RegionSet(frozenset(gt_union))
+    e = region_energy(s_hat)
+    precision, recall = precision_recall(_active(e, threshold), gt_union)
     try:
-        le = localization_error(s_hat, gt_set, space)
-        sd = spatial_dispersion(s_hat, gt_set, space)
+        le = _localization_error(e, gt_union, space)
+        sd = _spatial_dispersion(e, gt_union, space)
         undefined = False
     except UndefinedResultError:
         le, sd, undefined = None, None, True

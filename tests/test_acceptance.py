@@ -21,7 +21,6 @@ from esikit.nmm import (
     SimulationConfig,
     add_noise,
     generate_dataset,
-    iter_split,
     load_manifest,
     project_forward,
     simulate_jansen_rit,
@@ -284,9 +283,8 @@ def toy_experiment(tmp_path_factory):
     params, cfg2, _, _ = fm.load_checkpoint(root / "train" / "best")
     reports = {"fair": [], "sloreta": []}
     sloreta = sloreta_operator(lf)
-    for sample in iter_split(entries, "test"):
-        reports["fair"].append(
-            mx.evaluate(fm.forward(sample.X, params, cfg2).data, sample, space))
+    for sample, s_hat in fm.solve_split(entries, params, cfg2):
+        reports["fair"].append(mx.evaluate(s_hat, sample, space))
         reports["sloreta"].append(mx.evaluate(sloreta(sample.X), sample, space))
     return {
         "root": root, "space": space, "lf": lf, "sim": sim, "cfg": cfg,
@@ -335,9 +333,8 @@ def test_criterion_8_ablation_harness(report, toy_experiment, capfd):
         res = fm.train(t["entries"], cfg, epochs=3, seed=SEED, out_dir=out)
         params, cfg2, _, _ = fm.load_checkpoint(res.checkpoint_dir)
         agg = mx.aggregate([
-            mx.evaluate(fm.forward(sample.X, params, cfg2).data, sample,
-                        t["space"])
-            for sample in iter_split(t["entries"], "test")])
+            mx.evaluate(s_hat, sample, t["space"])
+            for sample, s_hat in fm.solve_split(t["entries"], params, cfg2)])
         rows.append((name, agg["le_mm"]["mean"], agg["nmse"]["mean"],
                      res.best_val))
     with capfd.disabled():

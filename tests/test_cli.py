@@ -10,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from esikit import model as fm
 from esikit import sloreta
 from esikit.cli import CONFIG_SCHEMA, load_config, main
 from esikit.errors import ConfigError
@@ -131,6 +132,73 @@ def test_eval_both_solvers(experiment, tmp_path):
         rows = (out / f"eval_{name}.csv").read_text().strip().splitlines()
         assert len(rows) == 2        # header + 1 test sample (12 -> 1 test)
         assert summary[name]["nmse"]["n"] == 1
+
+
+def _test_split(experiment, out_dir, n, fragments=None):
+    """A manifest in ``out_dir`` whose test split is the experiment's first
+    ``n`` samples, with the fragment of sample i replaced by
+    ``fragments[i]`` where given."""
+    run = Path(experiment[2]["paths"]["workdir"])
+    out_dir.mkdir()
+    for name in ("space.json", "leadfield.esit"):
+        shutil.copy(run / name, out_dir / name)
+    entries = json.loads((run / "manifest.json").read_text())[:n]
+    for i, e in enumerate(entries):
+        e["split"] = "test"
+        if i in (fragments or {}):
+            meta = run / e["path"]
+            shutil.copy(meta, out_dir / meta.name)
+            s_file = json.loads(meta.read_text())["S"]
+            shutil.copy(run / s_file, out_dir / s_file)
+            save_tensor(fragments[i], out_dir / json.loads(meta.read_text())["X"])
+        else:
+            e["path"] = str(run / e["path"])
+    manifest = out_dir / "manifest.json"
+    manifest.write_text(json.dumps(entries))
+    return manifest
+
+
+def test_eval_fair_in_pairs_writes_per_sample_bytes(experiment, tmp_path,
+                                                    monkeypatch):
+    # an odd-sized split, so the last forward holds one fragment
+    _, config, doc = experiment
+    checkpoint = str(Path(doc["paths"]["workdir"]) / "best")
+    manifest = str(_test_split(experiment, tmp_path / "data", 5))
+    assert fm.SOLVE_BATCH > 1
+    outs = []
+    for batch in (fm.SOLVE_BATCH, 1):
+        monkeypatch.setattr(fm, "SOLVE_BATCH", batch)
+        out = tmp_path / f"b{batch}"
+        assert main(["eval", "--config", str(config), "--manifest", manifest,
+                     "--checkpoint", checkpoint, "--out", str(out)]) == 0
+        outs.append([(out / n).read_bytes()
+                     for n in ("eval_fair.csv", "eval_summary.json")])
+    assert outs[0] == outs[1]
+    assert len(outs[0][0].splitlines()) == 6
+
+
+@pytest.mark.parametrize("fragments, code, message", [
+    ({1: np.zeros((5, 32))}, 2, "fragment is 5x32, config expects 8x32"),
+    ({1: np.full((8, 32), np.nan)}, 3, "fragment contains non-finite values"),
+    # the first fragment's fault is the one reported, as one at a time
+    ({0: np.full((8, 32), np.nan), 1: np.zeros((5, 32))}, 3, "non-finite"),
+])
+def test_eval_fair_checks_each_fragment_before_stacking(
+        experiment, tmp_path, capsys, fragments, code, message):
+    _, config, doc = experiment
+    manifest = _test_split(experiment, tmp_path / "data", 3, fragments)
+    assert main(["eval", "--config", str(config), "--manifest", str(manifest),
+                 "--checkpoint", str(Path(doc["paths"]["workdir"]) / "best"),
+                 "--out", str(tmp_path / "e")]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_usage_errors_exit_2_on_every_call():
+    for argv in (["eval"], ["eval", "--config", "c.json", "--solver", "x"],
+                 ["nope"], ["eval"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_eval_fair_requires_checkpoint(experiment, tmp_path):

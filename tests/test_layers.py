@@ -120,8 +120,13 @@ def test_gru_matches_naive_oracle():
         np.testing.assert_allclose(out[i], naive_gru(x[i], w, u, b), atol=1e-10)
 
 
+def _per_row(v, m):
+    """(B, h) @ (h, k) as B stacked (1, h) @ (h, k) products."""
+    return (v[:, None, :] @ m)[:, 0]
+
+
 def three_matmul_gru(x, w, u, b, reverse=False):
-    """The forward loop with one hidden-to-hidden matmul per gate."""
+    """The forward loop with one per-row hidden-to-hidden product per gate."""
     h = w.shape[0] // 3
     bsz, T, _ = x.shape
     xd = x[:, ::-1, :] if reverse else x
@@ -132,9 +137,9 @@ def three_matmul_gru(x, w, u, b, reverse=False):
     hs[0] = 0.0
     for t in range(T):
         hp = hs[t]
-        z = sig(xw[:, t, :h] + hp @ uz.T)
-        r = sig(xw[:, t, h:2 * h] + hp @ ur.T)
-        n = np.tanh(xw[:, t, 2 * h:] + (r * hp) @ un.T)
+        z = sig(xw[:, t, :h] + _per_row(hp, uz.T))
+        r = sig(xw[:, t, h:2 * h] + _per_row(hp, ur.T))
+        n = np.tanh(xw[:, t, 2 * h:] + _per_row(r * hp, un.T))
         hs[t + 1] = z * hp + (1.0 - z) * n
     out = hs[1:].transpose(1, 0, 2)
     return out[:, ::-1, :] if reverse else out
@@ -151,7 +156,8 @@ def test_gru_bits_match_three_matmul_loop(bsz, reverse):
 
 
 def in_loop_gru_input_grad(x, w, u, b, g, reverse=False):
-    """BPTT with the input gradient of each step taken inside the time loop."""
+    """BPTT with the input gradient of each step taken inside the time loop,
+    after a forward loop with per-row recurrent products."""
     h = w.shape[0] // 3
     bsz, T, d_in = x.shape
     xd = x[:, ::-1, :] if reverse else x
@@ -163,9 +169,9 @@ def in_loop_gru_input_grad(x, w, u, b, g, reverse=False):
     zs, rs, ns = (np.empty((T, bsz, h)) for _ in range(3))
     for t in range(T):
         hp = hs[t]
-        zr = sig(xw[t, :, :2 * h] + hp @ u[:2 * h].T)
+        zr = sig(xw[t, :, :2 * h] + _per_row(hp, u[:2 * h].T))
         z, r = zr[:, :h], zr[:, h:]
-        n = np.tanh(xw[t, :, 2 * h:] + (r * hp) @ un.T)
+        n = np.tanh(xw[t, :, 2 * h:] + _per_row(r * hp, un.T))
         zs[t], rs[t], ns[t] = z, r, n
         hs[t + 1] = z * hp + (1.0 - z) * n
     gx_rows = np.empty((T, bsz, d_in))
@@ -207,6 +213,55 @@ def test_gru_reverse_is_time_flip():
     fwd_on_flipped = layers.gru_forward(x[:, ::-1, :].copy(), w, u, b).data
     rev = layers.gru_forward(x, w, u, b, reverse=True).data
     np.testing.assert_allclose(rev, fwd_on_flipped[:, ::-1, :], atol=1e-12)
+
+
+def _bigru_params(h, d_in, scale=0.4, seed=0):
+    fw, bw = _gru_params(h, d_in, scale, seed), _gru_params(h, d_in, scale, seed + 1)
+    return {f"gru.{d}.{k}": v for d, wub in (("fw", fw), ("bw", bw))
+            for k, v in zip("wub", wub)}
+
+
+@pytest.mark.parametrize("bsz", [1, 16])
+def test_bigru_bits_match_two_gru_forward_calls(bsz):
+    # one loop for both directions: the same bits as one call per direction,
+    # forward and backward, at the model's sizes
+    params = _bigru_params(32, 64, scale=0.1, seed=8)
+    x = RNG.standard_normal((bsz, 128, 64))
+    g = RNG.standard_normal((bsz, 128, 64))
+    runs = []
+    for fused in (True, False):
+        xv, pv = ad.Var(x), {k: ad.Var(v) for k, v in params.items()}
+        if fused:
+            out = layers.bigru(xv, pv)
+        else:
+            out = ad.concat([layers.gru_forward(
+                xv, *(pv[f"gru.{d}.{k}"] for k in "wub"), reverse=d == "bw")
+                for d in ("fw", "bw")], axis=-1)
+        data = out.data.copy()
+        out.backward(g)
+        runs.append((data, xv.grad, {k: v.grad for k, v in pv.items()}))
+    (out_a, gx_a, gp_a), (out_b, gx_b, gp_b) = runs
+    assert np.array_equal(out_a, out_b)
+    assert np.array_equal(gx_a, gx_b)
+    assert all(np.array_equal(gp_a[k], gp_b[k]) for k in params)
+
+
+def test_bigru_rows_match_batch_one_runs():
+    params = _bigru_params(32, 64, scale=0.1, seed=9)
+    x = RNG.standard_normal((5, 128, 64))
+    out = layers.bigru(x, params).data
+    for i in range(len(x)):
+        assert np.array_equal(out[i:i + 1], layers.bigru(x[i:i + 1], params).data)
+
+
+def test_bigru_grad_check():
+    params = _bigru_params(2, 3, seed=10)
+    names = sorted(params)
+    x = 0.5 * RNG.standard_normal((2, 4, 3))
+    err = ad.grad_check(
+        lambda xx, *ws: _sq(layers.bigru(xx, dict(zip(names, ws)))),
+        [x] + [params[n] for n in names], h=1e-5)
+    assert err < 1e-4
 
 
 def test_bigru_single_step_directions_agree():

@@ -222,6 +222,62 @@ def test_evaluate_non_finite_estimate_is_numerical_error():
         evaluate(s_hat, make_sample(space, s, [3]), space)
 
 
+def reference_evaluate(s_hat, sample, space, threshold=0.5):
+    """The five metrics written out, with SD's distances to the ground truth
+    computed from the centroids."""
+    gt_union = set()
+    for fp in sample.ground_truth:
+        gt_union |= set(fp.regions)
+    e = np.sum(s_hat * s_hat, axis=-1)
+    est = set(np.flatnonzero(e >= threshold * e.max()).tolist()) \
+        if e.max() else set()
+    hits = len(est & gt_union)
+    precision = 100.0 * hits / len(est) if est else 0.0
+    recall = 100.0 * hits / len(gt_union)
+    le = sd = None
+    if e.max() != 0.0:
+        peak = int(np.argmax(e))
+        c = space.centroids
+        le = 0.0 if peak in gt_union else float(
+            min(np.linalg.norm(c[peak] - c[g]) for g in gt_union))
+        g = sorted(gt_union)
+        d = np.min(np.linalg.norm(c[:, None, :] - c[None, g, :], axis=-1), axis=1)
+        d[g] = 0.0
+        sd = float(np.sqrt(np.sum(d * d * e) / np.sum(e)))
+    diff = s_hat - sample.S
+    return MetricReport(precision=precision, recall=recall, le_mm=le, sd_mm=sd,
+                        nmse=float(np.sum(diff * diff)
+                                   / float(np.sum(sample.S * sample.S))),
+                        undefined_le_sd=le is None)
+
+
+def test_evaluate_matches_reference_formula_exactly():
+    rng = np.random.Generator(np.random.PCG64(3))
+    space = build_synthetic_source_space(64, 4, seed=0)
+    cfg = SimulationConfig(snr_db=5.0, n_sources=3, extent=2, n_timepoints=32,
+                           sample_rate=100.0, seed=0)
+    n_undefined = 0
+    for i in range(120):
+        footprints = tuple(
+            gt(*rng.choice(64, size=rng.integers(1, 5), replace=False).tolist())
+            for _ in range(rng.integers(1, 4)))
+        sample = PairedSample(X=np.zeros((2, 16)), S=rng.standard_normal((64, 16)),
+                              ground_truth=footprints, config=cfg)
+        s_hat = np.zeros((64, 16)) if i % 10 == 0 else rng.standard_normal((64, 16))
+        report = evaluate(s_hat, sample, space)
+        assert report == reference_evaluate(s_hat, sample, space)
+        n_undefined += report.undefined_le_sd
+    assert n_undefined == 12
+
+
+def test_centroid_distances_kept_with_the_space():
+    space = build_synthetic_source_space(8, 2, seed=0)
+    table = space.centroid_distances
+    assert space.centroid_distances is table
+    c = space.centroids
+    assert table[2, 5] == np.linalg.norm(c[2][None] - c[5][None], axis=-1)[0]
+
+
 def test_aggregate_hand_computed():
     reports = [
         MetricReport(100.0, 100.0, 0.0, 0.0, 0.1),

@@ -178,12 +178,27 @@ def test_forward_output_shape_and_trace():
     np.testing.assert_allclose(batched.data[0], s_hat.data, atol=1e-10)
 
 
+@pytest.mark.parametrize("bsz", [2, 3, 16])
+def test_forward_rows_match_batch_one_forwards(bsz):
+    cfg = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128)
+    params = fm.init_params(cfg, seed=4)
+    X = RNG.standard_normal((bsz, 32, 128))
+    X[1] = 0.0
+    out = fm.forward(X, params, cfg).data
+    for i in range(bsz):
+        assert np.array_equal(out[i], fm.forward(X[i], params, cfg).data)
+
+
 def test_forward_rejects_wrong_dims():
     params = fm.init_params(TOY, seed=1)
     with pytest.raises(ParameterError):
         fm.forward(RNG.standard_normal((5, 32)), params, TOY)
     with pytest.raises(ParameterError):
         fm.forward(RNG.standard_normal((4, 30)), params, TOY)
+    for shape in ((32,), (1, 2, 4, 32)):
+        with pytest.raises(ParameterError,
+                           match=f"fragment is {'x'.join(map(str, shape))},"):
+            fm.forward(np.zeros(shape), params, TOY)
 
 
 def test_forward_rejects_non_finite_fragment_in_batch():
