@@ -206,20 +206,19 @@ def concat(parts, axis):
 
 
 def getitem(x, key):
+    """Basic indexing (slices, ints, Ellipsis, None), which selects each
+    element at most once; gather with :func:`take_along` instead."""
     x = as_var(x)
-    # a basic key (slices, ints, Ellipsis, None) selects each element at most
-    # once; an advanced key may repeat positions, whose gradients add up
     parts = key if isinstance(key, tuple) else (key,)
-    basic = all(k is None or k is Ellipsis
-                or (isinstance(k, (slice, int, np.integer)) and not isinstance(k, bool))
-                for k in parts)
+    if not all(k is None or k is Ellipsis
+               or (isinstance(k, (slice, int, np.integer)) and not isinstance(k, bool))
+               for k in parts):
+        raise ParameterError("Var indexing takes basic keys only (slices, "
+                             "ints, Ellipsis, None); gather with take_along")
 
     def vjp(g):
         gx = np.zeros(x.shape)
-        if basic:
-            gx[key] = g
-        else:
-            np.add.at(gx, key, g)
+        gx[key] = g
         return (gx,)
 
     return Var(x.data[key], (x,), vjp)
@@ -257,14 +256,6 @@ def vsum(x, axis=None, keepdims=False):
     return Var(out, (x,), vjp)
 
 
-def vmean(x, axis=None, keepdims=False):
-    x = as_var(x)
-    n = x.data.size if axis is None else np.prod(
-        [x.shape[a] for a in np.atleast_1d(axis)]
-    )
-    return mul(vsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
 def tanh(x):
     x = as_var(x)
     t = np.tanh(x.data)
@@ -274,12 +265,6 @@ def tanh(x):
 def sigmoid_arrays(a):
     """Logistic function of an array."""
     return 1.0 / (1.0 + np.exp(-a))
-
-
-def sigmoid(x):
-    x = as_var(x)
-    s = sigmoid_arrays(x.data)
-    return Var(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def elu(x):

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from . import model as fm
 from . import metrics as mx
@@ -195,13 +194,13 @@ def cmd_simulate(doc, out):
 def cmd_train(doc, manifest_path, out, checkpoint=None):
     """Train from scratch, or continue from ``checkpoint``'s epoch, params
     and Adam state, appending to the loss log."""
-    entries = load_manifest(manifest_path)
     if checkpoint:
         params, cfg, epoch, adam_state = fm.load_checkpoint(checkpoint)
         resume = {"start_epoch": epoch or 0, "params": params,
                   "adam_state": adam_state}
     else:
         cfg, resume = _model_config(doc), {}
+    entries = load_manifest(manifest_path)
     result = fm.train(entries, cfg, seed=doc["seed"],
                       out_dir=_workdir(doc, out), **resume, **doc["training"])
     resumed = f"resumed at epoch {epoch}; " if checkpoint else ""
@@ -261,13 +260,7 @@ def cmd_localize(doc, checkpoint, fragment_path, out):
         raise ParameterError("localize needs --checkpoint")
     out_dir.mkdir(parents=True, exist_ok=True)
     params, cfg, _, _ = fm.load_checkpoint(checkpoint)
-    fragment = load_tensor(fragment_path).astype(np.float64)
-    if fragment.shape != (cfg.n_channels, cfg.n_timepoints):
-        raise ParameterError(
-            f"fragment is {fragment.shape}, checkpoint expects "
-            f"({cfg.n_channels}, {cfg.n_timepoints})"
-        )
-    s_hat = fm.forward(fragment, params, cfg).data
+    s_hat = fm.forward(load_tensor(fragment_path), params, cfg).data
     est_path = out_dir / "estimate.esit"
     save_tensor(s_hat, est_path)
     workdir = Path(doc["paths"]["workdir"])

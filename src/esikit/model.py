@@ -16,7 +16,7 @@ import ctypes
 import functools
 import itertools
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import layers
 from .errors import ConfigError, DataError, DivergenceError, ParameterError
 from .nmm import iter_split
 from .optim import AdamState, adam_step, load_adam_state, save_adam_state
-from .patches import coverage_counts, extract_patches
+from .patches import extract_patches, merge_patches, normalize_fragment
 from .tensorio import load_tensor_dir, save_tensor_dir
 
 
@@ -59,8 +59,10 @@ class FairConfig:
         if self.n_blocks < 1:
             raise ConfigError("n_blocks must be >= 1")
         l = self.patch_len
-        if l & (l - 1):
-            raise ConfigError("patch_len must be a power of two")
+        if l < 2 or l & (l - 1):
+            raise ConfigError(f"patch_len must be a power of two >= 2, got {l}")
+        if not (0 <= self.overlap < l):
+            raise ConfigError(f"overlap must be in [0, {l}), got {self.overlap}")
         if self.n_regions % 2:
             raise ConfigError(
                 "n_regions must be even: the BiGRU output (two directions of "
@@ -293,39 +295,31 @@ def forward(X, params, cfg, return_trace=False):
     for x in x_data if x_data.ndim == 3 else [x_data]:
         check_fragment(x, cfg)
     bsz, n_c, n_t = x_data.shape
-    # normalize by max-abs; an all-zero fragment keeps a zero output scale
-    # so the estimate scales linearly with the input all the way down
-    scales = np.max(np.abs(x_data), axis=(1, 2))
-    xn = x_data / np.where(scales == 0.0, 1.0, scales)[:, None, None]
-    pvars = {k: ad.as_var(v) for k, v in params.items()}
+    xn, scales = normalize_fragment(x_data)
 
-    grid_np = extract_patches(xn, cfg.patch_len, cfg.overlap)
-    g = ad.as_var(grid_np.patches)
+    grid = extract_patches(xn, cfg.patch_len, cfg.overlap)
+    g = ad.as_var(grid.patches)
     trace = RefinementTrace() if return_trace else None
     for n in range(cfg.n_blocks):
-        g = fair_block(g, pvars, cfg, block_idx=n,
+        g = fair_block(g, params, cfg, block_idx=n,
                        trace=trace if n == cfg.n_blocks - 1 else None)
-
-    # merge patches back to the (padded) time axis, exact overlap-add inverse
-    cov = coverage_counts(grid_np.n_patches, cfg.patch_len, grid_np.stride)
-    merged = ad.mul(ad.overlap_add(g, grid_np.stride, cov.size), 1.0 / cov)
-    merged = merged[..., :n_t]                               # (b, n_c, n_t)
+    merged = merge_patches(replace(grid, patches=g))         # (b, n_c, n_t)
 
     # transposed convolution upsamples the channel axis n_c -> n_s
     s = cfg.upsample_stride
     up = ad.transpose_conv2d(ad.reshape(merged, (bsz, 1, n_c, n_t)),
-                             pvars["head.up_w"], stride=(s, 1), padding=0)
+                             params["head.up_w"], stride=(s, 1), padding=0)
     up = ad.reshape(up[:, :, :cfg.n_regions, :], (bsz, cfg.n_regions, n_t))
-    up = ad.add(up, ad.reshape(pvars["head.up_b"], (-1, 1)))
+    up = ad.add(up, ad.reshape(params["head.up_b"], (-1, 1)))
     up_t = ad.transpose(up, (0, 2, 1))                       # (b, n_t, n_s)
 
-    xn_t = ad.transpose(ad.as_var(xn), (0, 2, 1))            # (b, n_t, n_c)
-    mlp_t = layers.mlp(xn_t, [(pvars["head.mlp_w1"], pvars["head.mlp_b1"]),
-                              (pvars["head.mlp_w2"], pvars["head.mlp_b2"])])
-    res_t = layers.linear(xn_t, pvars["head.res_w"])
+    xn_t = ad.transpose(xn, (0, 2, 1))                       # (b, n_t, n_c)
+    mlp_t = layers.mlp(xn_t, [(params["head.mlp_w1"], params["head.mlp_b1"]),
+                              (params["head.mlp_w2"], params["head.mlp_b2"])])
+    res_t = layers.linear(xn_t, params["head.res_w"])
 
     h = ad.add(ad.add(up_t, mlp_t), res_t)
-    s_hat_t = layers.bigru(h, pvars)                         # (b, n_t, n_s)
+    s_hat_t = layers.bigru(h, params)                        # (b, n_t, n_s)
     s_hat = ad.transpose(s_hat_t, (0, 2, 1))
     s_hat = ad.mul(s_hat, scales[:, None, None])
     if single:

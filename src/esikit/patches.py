@@ -9,20 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import gather_windows, overlap_add_arrays
+from . import autodiff as ad
 from .errors import DataError, FormatError, ParameterError
 
 
 @dataclass(frozen=True)
 class PatchGrid:
-    patches: np.ndarray        # (..., n_channels, n_patches, l)
+    patches: np.ndarray        # (..., n_channels, n_patches, l), or a Var
     l: int
     stride: int
     n_timepoints_original: int
-
-    @property
-    def n_patches(self):
-        return self.patches.shape[-2]
 
 
 def padded_length(n_timepoints, l, stride):
@@ -46,32 +42,37 @@ def extract_patches(x, l, overlap):
     if n_pad > n_t:
         pad = [(0, 0)] * (x.ndim - 1) + [(0, n_pad - n_t)]
         x = np.pad(x, pad)
-    patches = gather_windows(x, (n_pad - l) // stride + 1, l, stride)
+    patches = ad.gather_windows(x, (n_pad - l) // stride + 1, l, stride)
     return PatchGrid(patches=patches, l=l, stride=stride, n_timepoints_original=n_t)
 
 
 def merge_patches(grid):
-    """Exact inverse of :func:`extract_patches` for unmodified patches."""
-    p = grid.patches
+    """Overlap-add ``grid.patches`` (an array or a Var) and divide by the
+    per-sample coverage, as a Var: the exact inverse of
+    :func:`extract_patches` for unmodified patches."""
+    p = ad.as_var(grid.patches)
     if p.shape[-1] != grid.l:
         raise FormatError("PatchGrid metadata disagrees with patch array")
     cov = coverage_counts(p.shape[-2], grid.l, grid.stride)
-    out = overlap_add_arrays(p, grid.stride, cov.size) / cov
+    out = ad.mul(ad.overlap_add(p, grid.stride, cov.size), 1.0 / cov)
     return out[..., :grid.n_timepoints_original]
 
 
 def coverage_counts(n_patches, l, stride):
     """How many windows cover each padded time sample."""
     n_pad = stride * (n_patches - 1) + l
-    return overlap_add_arrays(np.ones((n_patches, l)), stride, n_pad)
+    return ad.overlap_add_arrays(np.ones((n_patches, l)), stride, n_pad)
 
 
 def normalize_fragment(x):
-    """Divide by the max absolute value; all-zero input passes with scale 1."""
+    """Divide each fragment of (..., n_channels, n_timepoints) by its max
+    absolute value; returns the stack and the per-fragment scales (...).
+
+    An all-zero fragment passes unchanged with scale 0, so multiplying an
+    estimate by the scale keeps it linear in the input down to zero.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise DataError("fragment contains non-finite values")
-    scale = float(np.max(np.abs(x)))
-    if scale == 0.0:
-        return x.copy(), 1.0
-    return x / scale, scale
+    scale = np.max(np.abs(x), axis=(-2, -1))
+    return x / np.where(scale == 0.0, 1.0, scale)[..., None, None], scale

@@ -120,6 +120,23 @@ def test_train_resume_into_new_dir_starts_log_with_header(experiment, tmp_path):
     assert [int(row.split(",")[0]) for row in log[1:]] == [start + 1]
 
 
+def test_train_rejects_uncuttable_patches_before_writing(experiment, tmp_path,
+                                                        capsys):
+    _, _, doc = experiment
+    run = Path(doc["paths"]["workdir"])
+    config, _ = make_config(tmp_path, model={**doc["model"], "overlap": 8})
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config),
+                 "--manifest", str(run / "manifest.json"),
+                 "--out", str(out)]) == 2
+    assert "overlap must be in [0, 8), got 8" in capsys.readouterr().err
+    assert not (out / "train_log.csv").exists()
+    # the config is checked before the manifest is read
+    assert main(["train", "--config", str(config),
+                 "--manifest", str(tmp_path / "missing.json"),
+                 "--out", str(out)]) == 2
+
+
 def test_eval_both_solvers(experiment, tmp_path):
     _, config, doc = experiment
     run = Path(doc["paths"]["workdir"])
@@ -268,7 +285,7 @@ def test_localize_zero_fragment_gray_svg(experiment, tmp_path):
     assert "rgb(160,160,160)" in svg
 
 
-def test_localize_dim_mismatch(experiment, tmp_path):
+def test_localize_dim_mismatch(experiment, tmp_path, capsys):
     _, config, doc = experiment
     run = Path(doc["paths"]["workdir"])
     frag = tmp_path / "bad.esit"
@@ -276,6 +293,21 @@ def test_localize_dim_mismatch(experiment, tmp_path):
     assert main(["localize", "--config", str(config),
                  "--checkpoint", str(run / "best"),
                  "--fragment", str(frag), "--out", str(tmp_path / "x")]) == 2
+    assert "fragment is 5x32, config expects 8x32" in capsys.readouterr().err
+
+
+def test_localize_non_finite_fragment_is_data_error(experiment, tmp_path,
+                                                    capsys):
+    _, config, doc = experiment
+    run = Path(doc["paths"]["workdir"])
+    frag = tmp_path / "nan.esit"
+    x = np.zeros((8, 32))
+    x[3, 7] = np.nan
+    save_tensor(x, frag)
+    assert main(["localize", "--config", str(config),
+                 "--checkpoint", str(run / "best"),
+                 "--fragment", str(frag), "--out", str(tmp_path / "x")]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_localize_requires_checkpoint(experiment, tmp_path):

@@ -31,6 +31,11 @@ def test_config_validation():
         fm.FairConfig(n_channels=4, n_regions=8, n_timepoints=32, patch_len=12)
     with pytest.raises(ConfigError):
         fm.FairConfig(n_channels=4, n_regions=9, n_timepoints=32)  # odd regions
+    # patches extract_patches cannot cut, caught before any data is read
+    for patch_len, overlap in [(0, 0), (1, 0), (8, 8), (8, -1)]:
+        with pytest.raises(ConfigError, match="patch_len|overlap"):
+            fm.FairConfig(n_channels=4, n_regions=8, n_timepoints=32,
+                          patch_len=patch_len, overlap=overlap)
     cfg = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128)
     assert fm.init_params(cfg, seed=0)["gru.fw.u"].shape == (3 * 32, 32)
     assert cfg.upsample_stride == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,19 +50,30 @@ def test_disjoint_patches_concatenate_to_input():
 
 def test_round_trip_exact():
     x = RNG.standard_normal((4, 64))
-    np.testing.assert_allclose(merge_patches(extract_patches(x, 16, 8)), x,
+    np.testing.assert_allclose(merge_patches(extract_patches(x, 16, 8)).data, x,
                                atol=1e-12)
 
 
 def test_merge_zero_grid_is_zero():
     grid = extract_patches(np.zeros((2, 50)), 8, 4)
-    np.testing.assert_array_equal(merge_patches(grid), np.zeros((2, 50)))
+    np.testing.assert_array_equal(merge_patches(grid).data, np.zeros((2, 50)))
+
+
+def test_merge_patches_gradient():
+    # merge_patches is a Var map, so it carries gradients back to the patches
+    grid = extract_patches(RNG.standard_normal((2, 3, 21)), 8, 5)
+
+    def energy(p):
+        merged = merge_patches(replace(grid, patches=p))
+        return ad.vsum(ad.mul(merged, merged))
+
+    assert ad.grad_check(energy, [grid.patches]) < 1e-7
 
 
 def test_single_channel_ramp():
     x = np.arange(10, dtype=np.float64)[None, :]
     grid = extract_patches(x, 4, 2)
-    np.testing.assert_allclose(merge_patches(grid), x, atol=1e-12)
+    np.testing.assert_allclose(merge_patches(grid).data, x, atol=1e-12)
 
 
 def test_channel_permutation_permutes_patch_rows():
@@ -89,7 +102,7 @@ def test_round_trip_property(l, overlap_frac, n_t, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal((2, n_t))
     grid = extract_patches(x, l, overlap)
-    np.testing.assert_allclose(merge_patches(grid), x, atol=1e-10)
+    np.testing.assert_allclose(merge_patches(grid).data, x, atol=1e-10)
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,8 +130,20 @@ def test_normalize_fragment_scale():
 def test_normalize_all_zero_passthrough():
     x = np.zeros((3, 5))
     xn, scale = normalize_fragment(x)
-    assert scale == 1.0
+    assert scale == 0.0
     np.testing.assert_array_equal(xn, x)
+
+
+def test_normalize_stack_rows_match_lone_fragments():
+    x = RNG.standard_normal((4, 3, 5))
+    x[2] = 0.0
+    xn, scale = normalize_fragment(x)
+    assert scale.shape == (4,)
+    assert scale[2] == 0.0
+    for i in range(4):
+        xi, si = normalize_fragment(x[i])
+        assert np.array_equal(xn[i], xi)
+        assert scale[i] == si
 
 
 def test_normalize_rejects_non_finite():

@@ -5,10 +5,11 @@
 Exports REV with ``git archive`` into a temporary directory, then runs one
 tiny experiment through all five commands once with REV's ``src/`` and once
 with this checkout's: simulate, train, a resume into the same directory and
-into a new one, eval with both solvers, and localize. It prints every output
-file that differs or exists on one side only, and every command whose exit
-code or stdout differs. Exits 1 if there is any such difference or a
-command fails on either side, 2 if REV cannot be exported, 0 otherwise.
+into a new one, eval with both solvers, and localize on a sample and on an
+all-zero fragment. It prints every output file that differs or exists on
+one side only, and every command whose exit code or stdout differs. Exits 1
+if there is any such difference or a command fails on either side, 2 if REV
+cannot be exported, 0 otherwise.
 
 Both sides run on this machine, so the comparison holds whatever BLAS build
 the machine has; no hash is committed. The experiment is the list ``STEPS``
@@ -19,6 +20,7 @@ one process to check that a rerun writes the same bytes.
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -58,7 +60,13 @@ STEPS = [
     ["localize", "--config", "config.json", "--out", "localize",
      "--checkpoint", "resumed/best",
      "--fragment", "data/sample_000_000011.X.esit"],
+    ["localize", "--config", "config.json", "--out", "localize_zero",
+     "--checkpoint", "resumed/best", "--fragment", "zero.X.esit"],
 ]
+
+# An all-zero 8x32 fragment as ESIT bytes (magic, version 1, rank 2, u32
+# dims, float32 payload), written without esikit so both sides read one file.
+ZERO_FRAGMENT = b"ESIT" + struct.pack("<BB2I", 1, 2, 8, 32) + bytes(4 * 8 * 32)
 
 
 def run_scenario(root, esi):
@@ -70,6 +78,7 @@ def run_scenario(root, esi):
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / "config.json").write_text(json.dumps(CONFIG, indent=2))
+    (root / "zero.X.esit").write_bytes(ZERO_FRAGMENT)
     return [esi(argv) for argv in STEPS]
 
 
