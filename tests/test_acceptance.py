@@ -25,7 +25,6 @@ from esikit.nmm import (
     project_forward,
     simulate_jansen_rit,
 )
-from esikit.optim import AdamState
 from esikit.sloreta import sloreta_operator, sloreta_solve
 
 SEED = 7

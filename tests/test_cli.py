@@ -2,7 +2,11 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import random
 import shutil
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -11,7 +15,7 @@ import numpy as np
 import pytest
 
 from esikit import model as fm
-from esikit import sloreta
+from esikit import cli, sloreta
 from esikit.cli import CONFIG_SCHEMA, load_config, main
 from esikit.errors import ConfigError
 from esikit.nmm import load_manifest, load_sample
@@ -370,6 +374,192 @@ def test_invalid_config_message_matches_jsonschema_validate(tmp_path):
         with pytest.raises(ConfigError) as got:
             load_config(path)
         assert str(got.value) == expected
+
+
+# jsonschema is the reference the config validator in cli is checked against;
+# the program itself does not import it. Its "integer" also takes integral
+# floats such as 2.0, which the program rejects.
+_INT_ONLY = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+    "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+_REFERENCE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, type_checker=_INT_ONLY)(CONFIG_SCHEMA)
+
+
+def _reference_message(doc):
+    err = jsonschema.exceptions.best_match(_REFERENCE.iter_errors(doc))
+    if err is None:
+        return None, None
+    return (f"config invalid at {list(err.absolute_path)}: {err.message}",
+            err.validator)
+
+
+def _full_config(tmp_path):
+    _, doc = make_config(tmp_path)
+    doc["simulation"]["grid"].append({"snr_db": "inf", "n_sources": 2,
+                                      "extent": 3})
+    doc["model"].update(tau=0.5, alpha=0.3, n_blocks=1, weight_decay=0.0,
+                        use_spectral=True, use_temporal=True, use_patch=False,
+                        spectral_reweight=False)
+    doc["training"].update(plateau_patience=2, lr_floor=1e-6)
+    doc["evaluation"].update(sloreta_lambda=0.05, threshold=0.5)
+    return doc
+
+
+_FUZZ_VALUES = [-2, -1, 0, 1, 2, 3, 7, 8, 32, 100, 10**20, -0.5, 0.0, 0.5,
+                1.0, 1.5, 2.0, 8.0, 99.5, 100.0, 1e-9, float("nan"),
+                float("inf"), float("-inf"), True, False, None, "", "inf",
+                "alpha", "spike", "loud", "1", [], [1], {}, {"x": 1},
+                {"snr_db": 5, "n_sources": 1, "extent": 1}]
+_FUZZ_KEYS = ["extra", "learning_rate", "gru_hidden", "seed", "grid", "lr",
+              "snr_db", "workdir", "1"]
+
+
+def _nodes(value, path=()):
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, rng):
+    """Replace, delete, add or duplicate at one random place in ``doc``."""
+    nodes = list(_nodes(doc))
+    path, node = rng.choice(nodes)
+    op = rng.randrange(4)
+
+    def pick(pool):
+        return json.loads(json.dumps(rng.choice(pool)))  # a copy
+
+    if op == 2 and isinstance(node, dict):
+        node[rng.choice(_FUZZ_KEYS)] = pick(_FUZZ_VALUES)
+    elif op == 2 and isinstance(node, list):
+        node.append(pick(_FUZZ_VALUES + node))
+    elif not path:
+        return pick(_FUZZ_VALUES) if op == 0 else doc
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == 1 and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif op == 1:
+            parent.clear()
+        else:
+            pool = _FUZZ_VALUES if op == 0 else [v for _, v in nodes]
+            parent[path[-1]] = pick(pool)
+    return doc
+
+
+def test_config_errors_match_reference_on_fuzzed_configs(tmp_path):
+    # mutated full configs: the validator must accept exactly the documents
+    # the reference accepts and report the error best_match picks
+    rng = random.Random(20261019)
+    base = _full_config(tmp_path)
+    valid, keywords = 0, set()
+    for _ in range(3000):
+        doc = json.loads(json.dumps(base))
+        for _ in range(rng.randrange(1, 4)):
+            doc = _mutate(doc, rng)
+        text = json.dumps(doc)
+        expected, keyword = _reference_message(json.loads(text))
+        assert cli._config_error(json.loads(text)) == expected, text
+        valid += expected is None
+        keywords.add(keyword)
+    assert 200 < valid < 2800
+    assert keywords >= {None, "type", "required", "additionalProperties",
+                        "minItems", "minimum", "maximum", "exclusiveMinimum",
+                        "enum", "anyOf"}
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+    for sub in schema.get("anyOf", []):
+        yield from _subschemas(sub)
+
+
+def test_validator_implements_every_schema_keyword():
+    # a keyword the walker does not know (say "pattern") must fail here
+    # rather than be ignored; walking each subschema visits all its keys
+    for schema in _subschemas(CONFIG_SCHEMA):
+        list(cli._schema_errors(None, schema))
+        # the walker's == is jsonschema's equality for strings only
+        for value in schema.get("enum", []) + [schema.get("const", "")]:
+            assert isinstance(value, str)
+        assert schema.get("additionalProperties", False) is False
+        # best_match reports an anyOf error itself only while the errors of
+        # its branches tie: two or more branches, each with one keyword that
+        # fails at the branch's own instance and is not itself an anyOf
+        branches = schema.get("anyOf", [{}, {}])
+        assert len(branches) >= 2
+        for branch in branches:
+            assert len(branch) <= 1
+            assert not {"properties", "items", "anyOf"} & set(branch)
+    with pytest.raises(ValueError, match="'pattern' is not implemented"):
+        list(cli._schema_errors("x", {"type": "string", "pattern": "^x"}))
+
+
+@pytest.mark.parametrize("x", [2, 7, "a", [2]])
+def test_any_of_error_yields_to_others_at_its_path(monkeypatch, x):
+    # CONFIG_SCHEMA has no keyword beside its anyOf, so this schema checks
+    # that an anyOf error loses to another error at the same path, as in
+    # best_match, even when the anyOf comes first
+    schema = {"type": "object", "properties": {"x": {
+        "anyOf": [{"type": "string"}, {"const": "one"}], "minimum": 5}}}
+    monkeypatch.setattr(cli, "CONFIG_SCHEMA", schema)
+    err = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors({"x": x}))
+    expected = (None if err is None else
+                f"config invalid at {list(err.absolute_path)}: {err.message}")
+    assert cli._config_error({"x": x}) == expected
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_seed_override_is_validated(experiment, tmp_path, capsys, command):
+    _, config, _ = experiment
+    assert main([command, "--config", str(config), "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config invalid at ['seed']: -1 is less than the minimum of 0")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("simulation", "n_samples_per_cell", 2.0),
+    ("geometry", "n_regions", 16.0),
+    (None, "seed", 3.0),
+])
+def test_integral_float_in_integer_slot_rejected(tmp_path, capsys, section,
+                                                 key, value):
+    config, doc = make_config(tmp_path)
+    (doc[section] if section else doc)[key] = value
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 2
+    where = [section, key] if section else [key]
+    assert capsys.readouterr().err.strip() == (
+        f"error: config invalid at {where}: {value!r} is not of type 'integer'")
+
+
+def test_program_runs_without_jsonschema(tmp_path):
+    # a fresh import and a whole simulate run leave jsonschema unimported
+    config, doc = make_config(tmp_path)
+    doc["simulation"]["n_samples_per_cell"] = 1
+    config.write_text(json.dumps(doc))
+    script = ("import contextlib, io, json, sys\n"
+              "import esikit.cli\n"
+              "fresh = 'jsonschema' in sys.modules\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = esikit.cli.main(['simulate', '--config', {str(config)!r}])\n"
+              "print(json.dumps([fresh, code, 'jsonschema' in sys.modules]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, 0, False]
 
 
 def test_unknown_key_rejected(tmp_path):

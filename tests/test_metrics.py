@@ -14,7 +14,6 @@ from esikit.metrics import (
     nmse,
     peak_region,
     precision_recall,
-    region_energy,
     spatial_dispersion,
     threshold_active,
     write_report_csv,
