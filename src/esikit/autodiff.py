@@ -161,29 +161,25 @@ def _unbroadcast(grad, shape):
 def add(a, b):
     a, b = as_var(a), as_var(b)
     out = a.data + b.data
-    return Var(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return Var(out, (a, b), lambda g: (
+        _unbroadcast(g, a.shape) if a.tracked else None,
+        _unbroadcast(g, b.shape) if b.tracked else None))
 
 
 def mul(a, b):
     a, b = as_var(a), as_var(b)
     out = a.data * b.data
-    return Var(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    return Var(out, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape) if a.tracked else None,
+        _unbroadcast(g * a.data, b.shape) if b.tracked else None))
 
 
 def matmul(a, b):
     a, b = as_var(a), as_var(b)
     out = a.data @ b.data
-
-    def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return Var(out, (a, b), vjp)
+    return Var(out, (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.tracked else None,
+        _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.tracked else None))
 
 
 def reshape(x, shape):
@@ -202,7 +198,9 @@ def concat(parts, axis):
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    return Var(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
+    return Var(out, tuple(parts), lambda g: tuple(
+        gp if p.tracked else None
+        for p, gp in zip(parts, np.split(g, splits, axis=axis))))
 
 
 def getitem(x, key):
@@ -464,8 +462,9 @@ def conv2d(x, kernel, stride=1, padding=0):
         )
     out, cols = _correlate(x.data, kernel.data, stride, padding)
     return Var(out, (x, kernel), lambda g: (
-        _correlate_adjoint(g, kernel.data, x.shape, stride, padding),
-        _kernel_grad(g, cols, kernel.shape)))
+        _correlate_adjoint(g, kernel.data, x.shape, stride, padding)
+        if x.tracked else None,
+        _kernel_grad(g, cols, kernel.shape) if kernel.tracked else None))
 
 
 def transpose_conv2d(y, kernel, stride=1, padding=0):
@@ -485,8 +484,11 @@ def transpose_conv2d(y, kernel, stride=1, padding=0):
     out = _correlate_adjoint(y.data, kernel.data, x_shape, stride, padding)
 
     def vjp(g):
+        if not y.tracked:
+            gcols = _im2col(g, kh, kw, stride, padding)[0]
+            return None, _kernel_grad(y.data, gcols, kernel.shape)
         gy, gcols = _correlate(g, kernel.data, stride, padding)
-        return gy, _kernel_grad(y.data, gcols, kernel.shape)
+        return gy, _kernel_grad(y.data, gcols, kernel.shape) if kernel.tracked else None
 
     return Var(out, (y, kernel), vjp)
 

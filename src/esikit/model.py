@@ -9,6 +9,13 @@ attention summary, Conv/TransposeConv blocks). The head merges patches,
 upsamples channels to the source space with a transposed convolution, adds
 an MLP projection and a learned residual projection of the input, and runs
 a BiGRU over time.
+
+The broadcast summary plane is never materialized. A convolution is linear
+in its input channels, so the first conv over the grid stacked with the
+plane is the sum of a conv over each; and the plane is constant along the
+patch axis, so its conv is a conv of the summary alone followed by a fixed
+0/1 map onto the patches (see :func:`patch_refine`). The split is exact in
+real arithmetic; in floating point it sums in another order.
 """
 
 import csv
@@ -189,7 +196,15 @@ def select_key_patch(grid):
 def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
     """Key-patch self-attention summary broadcast onto every patch of its
     channel, then Conv2D-ELU-LayerNorm and TransposeConv2D-ELU-LayerNorm
-    over the channel x patch grid, restoring the input feature depth."""
+    over the channel x patch grid, restoring the input feature depth.
+
+    The first conv's input is the refined grid and the summary plane
+    stacked along the feature axis. The plane is never built: a conv is
+    linear in its input channels, so it splits exactly into a conv of the
+    grid with the first half of ``conv.w1`` plus a conv of the plane with
+    the second half, and the plane repeats one value along the patch axis,
+    so that term is :func:`_summary_conv` of the summary alone.
+    """
     g = ad.as_var(grid)
     b, n_c, n_p, l = g.shape
     key_idx = select_key_patch(g.data)                  # (b, n_c)
@@ -202,14 +217,13 @@ def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
                            params[prefix + "attn.wk"],
                            params[prefix + "attn.wv"])  # (b, n_c, l, d)
     summary = layers.linear(att, params[prefix + "attn.out_w"],
-                            params[prefix + "attn.out_b"])
-    summary = ad.reshape(summary, (b, n_c, 1, l))
-    plane = ad.broadcast_to(summary, (b, n_c, n_p, l))
-    # fold patch samples into conv channels: (b, 2l, n_c, n_p)
+                            params[prefix + "attn.out_b"])  # (b, n_c, l, 1)
+    # fold patch samples into conv channels: (b, l, n_c, n_p) and (b, l, n_c, 1)
     base = ad.transpose(g, (0, 3, 1, 2))
-    extra = ad.transpose(plane, (0, 3, 1, 2))
-    aug = ad.concat([base, extra], axis=1)
-    h1 = ad.conv2d(aug, params[prefix + "conv.w1"], stride=1, padding=1)
+    summary = ad.transpose(summary, (0, 2, 1, 3))
+    w1 = params[prefix + "conv.w1"]
+    h1 = ad.add(ad.conv2d(base, w1[:, :l], stride=1, padding=1),
+                _summary_conv(summary, w1[:, l:], n_p))
     h1 = ad.add(h1, ad.reshape(ad.as_var(params[prefix + "conv.b1"]), (-1, 1, 1)))
     h1 = _channel_layer_norm(ad.elu(h1), params[prefix + "conv.ln1_gain"],
                              params[prefix + "conv.ln1_bias"])
@@ -221,8 +235,29 @@ def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
     if trace is not None:
         trace.key_indices = key_idx.copy()
         trace.attention_out = att.data.copy()
-        trace.P_A = aug.data.copy()
+        plane = np.broadcast_to(summary.data, (b, l, n_c, n_p))
+        trace.P_A = np.concatenate([base.data, plane], axis=1)
     return out
+
+
+def _summary_conv(summary, kernel, n_p):
+    """``conv2d(plane, kernel, padding=1)`` for the plane that repeats
+    ``summary`` (b, c_in, h, 1) ``n_p`` times along its last axis.
+
+    Each of the 3x3 kernel's columns j sees the same summary rows wherever
+    it lands inside the plane, so one conv of the summary with the columns
+    as separate output channels gives every column's term; ``edge[j, p]``
+    then adds column j into output position p when it reads inside the
+    plane rather than its zero padding.
+    """
+    b, _, h, _ = summary.shape
+    c_out, c_in, kh, kw = kernel.shape
+    cols = ad.reshape(ad.transpose(kernel, (0, 3, 1, 2)), (c_out * kw, c_in, kh, 1))
+    terms = ad.conv2d(summary, cols, stride=1, padding=(1, 0))  # (b, c_out*kw, h, 1)
+    terms = ad.transpose(ad.reshape(terms, (b, c_out, kw, h)), (0, 1, 3, 2))
+    reads = np.arange(kw)[:, None] + np.arange(n_p) - 1
+    edge = ((reads >= 0) & (reads < n_p)).astype(np.float64)    # (kw, n_p)
+    return ad.matmul(terms, edge)                               # (b, c_out, h, n_p)
 
 
 def _channel_layer_norm(x, gain, bias):
@@ -268,16 +303,48 @@ def _as_param_vars(params):
     return {k: v if isinstance(v, ad.Var) else ad.Var(v) for k, v in params.items()}
 
 
+def _check_fragment_shape(shape, cfg):
+    if shape != (cfg.n_channels, cfg.n_timepoints):
+        raise ParameterError(
+            f"fragment is {'x'.join(map(str, shape))}, config expects "
+            f"{cfg.n_channels}x{cfg.n_timepoints}"
+        )
+
+
 def check_fragment(x, cfg):
     """Raise ParameterError unless fragment ``x`` is (n_channels,
     n_timepoints), then DataError if it holds a non-finite value."""
-    if x.shape != (cfg.n_channels, cfg.n_timepoints):
-        raise ParameterError(
-            f"fragment is {'x'.join(map(str, x.shape))}, config expects "
-            f"{cfg.n_channels}x{cfg.n_timepoints}"
-        )
+    _check_fragment_shape(x.shape, cfg)
     if not np.all(np.isfinite(x)):
         raise DataError("fragment contains non-finite values")
+
+
+# glibc mallopt (parameter, value) pairs that the first forward sets
+_MALLOPT = ((-3, 32 << 20),    # M_MMAP_THRESHOLD, the largest glibc takes on 64-bit
+            (-1, 256 << 20))   # M_TRIM_THRESHOLD, above a b=16 step's peak
+
+
+@functools.cache
+def _keep_freed_pages():
+    """Keep the arrays a forward or backward frees in the heap; a no-op
+    off glibc.
+
+    Every array of a step (the largest, an im2col block, is ~17 MiB at b=16)
+    stays below the mmap threshold and the freed heap top below the trim
+    threshold, so the next step reuses those pages instead of the kernel
+    unmapping them and faulting them in again. Left to glibc's own dynamic
+    thresholds, an array as large as the largest one freed so far is mapped
+    anew on every call, so which arrays fault depends on their sizes.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version
+    except (OSError, TypeError, AttributeError):
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT:
+        libc.mallopt(param, value)
 
 
 def forward(X, params, cfg, return_trace=False):
@@ -286,14 +353,19 @@ def forward(X, params, cfg, return_trace=False):
     X is an array (n_channels, n_timepoints) or a (batch, ...) stack;
     parameters may be ndarrays, which build no tape, or tracked Vars, which
     keep it for training. Returns a Var; ``.data`` is the estimate. Row i of
-    a batch's estimate has the bits of the estimate of ``X[i]`` alone.
+    a batch's estimate has the bits of the estimate of ``X[i]`` alone. The
+    first call sets glibc's mmap and trim thresholds for the process (see
+    :func:`_keep_freed_pages`).
     """
+    _keep_freed_pages()
     x_data = np.asarray(X, dtype=np.float64)
     single = x_data.ndim == 2
     if single:
         x_data = x_data[None]
-    for x in x_data if x_data.ndim == 3 else [x_data]:
-        check_fragment(x, cfg)
+    # every fragment of a stack has one shape; normalize_fragment raises the
+    # DataError of a non-finite value
+    _check_fragment_shape(x_data.shape[1:] if x_data.ndim == 3 else x_data.shape,
+                          cfg)
     bsz, n_c, n_t = x_data.shape
     xn, scales = normalize_fragment(x_data)
 
@@ -399,30 +471,6 @@ def load_checkpoint(in_dir):
 
 PLATEAU_TOL = 1e-4    # relative val-loss gain that counts as progress
 
-# glibc mallopt (parameter, value) pairs that training sets once
-_MALLOPT = ((-3, 32 << 20),    # M_MMAP_THRESHOLD, the largest glibc takes on 64-bit
-            (-1, 256 << 20))   # M_TRIM_THRESHOLD, above a b=16 step's peak
-
-
-@functools.cache
-def _keep_freed_pages():
-    """Keep the arrays a backward sweep frees in the heap; a no-op off glibc.
-
-    Every array of a step (the largest, an im2col block, is ~17 MiB at b=16)
-    stays below the mmap threshold and the freed heap top below the trim
-    threshold, so the next step reuses those pages instead of the kernel
-    unmapping them and faulting them in again.
-    """
-    try:
-        libc = ctypes.CDLL(None)
-        libc.gnu_get_libc_version
-    except (OSError, TypeError, AttributeError):
-        return
-    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    libc.mallopt.restype = ctypes.c_int
-    for param, value in _MALLOPT:
-        libc.mallopt(param, value)
-
 
 @dataclass
 class TrainResult:
@@ -451,7 +499,6 @@ def train(manifest_entries, cfg, epochs=30, *, seed, out_dir,
           start_epoch=0, params=None, adam_state=None,
           plateau_patience=3, lr_floor=1e-6):
     """Mini-batch Adam with plateau LR halving and best-val checkpointing."""
-    _keep_freed_pages()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     xs_train, ss_train = _load_split(manifest_entries, "train")

@@ -448,6 +448,37 @@ def test_constant_graph_holds_no_closures():
     assert out.grad == 1.0 and a.grad is None and b.grad is None
 
 
+# two-parent primitives: (op, shape of each parent)
+TWO_PARENT_OPS = {
+    "add": (ad.add, (3, 4), (4,)),
+    "mul": (ad.mul, (3, 4), (3, 1)),
+    "matmul": (ad.matmul, (2, 3, 4), (4, 5)),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), (3, 4), (3, 2)),
+    "conv2d": (lambda x, k: ad.conv2d(x, k, stride=1, padding=1),
+               (2, 2, 5, 5), (3, 2, 3, 3)),
+    "transpose_conv2d": (lambda y, k: ad.transpose_conv2d(y, k, stride=1, padding=1),
+                         (2, 3, 5, 5), (3, 2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+@pytest.mark.parametrize("name", sorted(TWO_PARENT_OPS))
+def test_vjp_skips_constant_parent(name, constant):
+    # the VJP leaves a constant parent's slot empty and gives the tracked
+    # parent the bits it gets when both parents are tracked
+    op, *shapes = TWO_PARENT_OPS[name]
+    rng = np.random.Generator(np.random.PCG64(7))
+    data = [rng.standard_normal(shape) for shape in shapes]
+    both = op(*(ad.Var(d) for d in data))
+    g = rng.standard_normal(both.shape)
+    parents = [ad.Var(d) for d in data]
+    parents[constant] = ad.as_var(data[constant])
+    grads = op(*parents)._vjp(g)
+    assert grads[constant] is None
+    tracked = 1 - constant
+    assert np.array_equal(grads[tracked], both._vjp(g)[tracked])
+
+
 def test_backward_skips_constant_branches():
     # a tracked leaf times a constant subgraph: only the leaf gets a gradient,
     # and the constant branch is folded into constants as it is built

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import shutil
+import struct
 import subprocess
 import sys
 import xml.dom.minidom
@@ -643,3 +644,30 @@ def test_rerun_writes_identical_bytes(tmp_path, monkeypatch):
             "eval/eval_fair.csv", "eval/eval_sloreta.csv",
             "localize/estimate.esit"} <= set(files_a)
     assert samebytes.differences(files_a, files_b, trans_a, trans_b) == []
+
+
+def test_differences_quantify_numeric_changes():
+    samebytes = _load_samebytes()
+    value = 0.1 + 0.2
+    ulp = np.nextafter(value, 1.0)
+    header = b"ESIT" + struct.pack("<BB2I", 1, 2, 1, 3)
+    files_a = {
+        "summary.json": json.dumps({"n": 3, "mean": value}).encode(),
+        "estimate.esit": header + struct.pack("<3f", 1.0, -2.0, 4.0),
+        "log.csv": b"epoch,loss\n1,0.5\n",
+        "map.svg": b"<svg>a</svg>",
+        "same.json": b"[1]",
+    }
+    files_b = dict(files_a, **{
+        "summary.json": json.dumps({"n": 3, "mean": ulp}).encode(),
+        "estimate.esit": header + struct.pack("<3f", 1.0, -2.5, 4.0),
+        "log.csv": b"epoch,val\n1,0.5\n",
+        "map.svg": b"<svg>b</svg>",
+    })
+    rel = (ulp - value) / ulp
+    assert samebytes.differences(files_a, files_b, [], []) == [
+        "differs: estimate.esit (largest relative difference 0.2)",
+        "differs: log.csv (non-numeric)",
+        "differs: map.svg (non-numeric)",
+        f"differs: summary.json (largest relative difference {rel:.2g})",
+    ]

@@ -1,12 +1,14 @@
 import json
 import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import esikit.model as fm
 from esikit import autodiff as ad
+from esikit import layers
 from esikit.errors import ConfigError, DataError, DivergenceError, ParameterError
 from esikit.geometry import build_lead_field, build_synthetic_source_space
 from esikit.nmm import SimulationConfig, generate_dataset, load_manifest
@@ -152,6 +154,73 @@ def test_patch_refine_shape_preserved():
     grid = RNG.standard_normal((2, 4, 7, 8))
     out = fm.patch_refine(ad.Var(grid), params, TOY)
     assert out.shape == grid.shape
+
+
+def broadcast_patch_refine(grid, params, prefix):
+    """patch_refine with the summary plane built: broadcast onto every patch,
+    stacked onto the grid, and one conv with the whole conv.w1. Returns the
+    output and the stacked conv input."""
+    g = ad.as_var(grid)
+    b, n_c, n_p, l = g.shape
+    key_idx = fm.select_key_patch(g.data)
+    idx = np.broadcast_to(key_idx[:, :, None, None], (b, n_c, 1, l)).copy()
+    tokens = ad.reshape(ad.take_along(g, idx, axis=-2), (b, n_c, l, 1))
+    emb = ad.add(ad.mul(tokens, params[prefix + "attn.embed_w"]),
+                 params[prefix + "attn.embed_b"])
+    att = layers.attention(emb, params[prefix + "attn.wq"],
+                           params[prefix + "attn.wk"], params[prefix + "attn.wv"])
+    summary = layers.linear(att, params[prefix + "attn.out_w"],
+                            params[prefix + "attn.out_b"])
+    plane = ad.broadcast_to(ad.reshape(summary, (b, n_c, 1, l)), (b, n_c, n_p, l))
+    aug = ad.concat([ad.transpose(g, (0, 3, 1, 2)),
+                     ad.transpose(plane, (0, 3, 1, 2))], axis=1)
+    h1 = ad.conv2d(aug, params[prefix + "conv.w1"], stride=1, padding=1)
+    h1 = ad.add(h1, ad.reshape(ad.as_var(params[prefix + "conv.b1"]), (-1, 1, 1)))
+    h1 = fm._channel_layer_norm(ad.elu(h1), params[prefix + "conv.ln1_gain"],
+                                params[prefix + "conv.ln1_bias"])
+    h2 = ad.transpose_conv2d(h1, params[prefix + "conv.w2"], stride=1, padding=1)
+    h2 = ad.add(h2, ad.reshape(ad.as_var(params[prefix + "conv.b2"]), (-1, 1, 1)))
+    h2 = fm._channel_layer_norm(ad.elu(h2), params[prefix + "conv.ln2_gain"],
+                                params[prefix + "conv.ln2_bias"])
+    return ad.transpose(h2, (0, 2, 3, 1)), aug.data
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2])
+@pytest.mark.parametrize("n_p", [1, 2, 7])
+def test_patch_refine_split_conv_matches_broadcast_plane(n_p, n_blocks):
+    # the first conv split into a grid term and a summary term gives the
+    # outputs and gradients of one conv over the stacked, broadcast plane
+    cfg = replace(TOY, n_blocks=n_blocks)
+    params = fm.init_params(cfg, seed=6)
+    rng = np.random.Generator(np.random.PCG64(n_p))
+    grid = rng.standard_normal((2, cfg.n_channels, n_p, cfg.patch_len))
+    weights = rng.standard_normal(grid.shape)
+    runs = {}
+    for path in ("split", "broadcast"):
+        pvars = fm._as_param_vars(params)
+        g = grid
+        for n in range(n_blocks):
+            prefix = f"block{n}."
+            if path == "split":
+                trace = fm.RefinementTrace()
+                block_in, g = g, fm.patch_refine(g, pvars, cfg, prefix, trace)
+                aug = broadcast_patch_refine(ad.as_var(block_in).data, params,
+                                             prefix)[1]
+                assert trace.P_A.shape == (2, 2 * cfg.patch_len, cfg.n_channels, n_p)
+                assert np.array_equal(trace.P_A, aug)
+            else:
+                g = broadcast_patch_refine(g, pvars, prefix)[0]
+        ad.vsum(ad.mul(g, weights)).backward()
+        runs[path] = g.data, {k: v.grad for k, v in pvars.items()}
+    (out, grads), (ref_out, ref_grads) = runs["split"], runs["broadcast"]
+    assert _max_rel(out, ref_out) <= 1e-12
+    for k in ref_grads:
+        if k.startswith("block"):
+            assert _max_rel(grads[k], ref_grads[k]) <= 1e-10, k
 
 
 def test_fair_block_ablation_routing():

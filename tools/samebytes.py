@@ -7,9 +7,11 @@ tiny experiment through all five commands once with REV's ``src/`` and once
 with this checkout's: simulate, train, a resume into the same directory and
 into a new one, eval with both solvers, and localize on a sample and on an
 all-zero fragment. It prints every output file that differs or exists on
-one side only, and every command whose exit code or stdout differs. Exits 1
-if there is any such difference or a command fails on either side, 2 if REV
-cannot be exported, 0 otherwise.
+one side only, and every command whose exit code or stdout differs. A
+differing JSON, CSV or ESIT file whose numbers alone changed is listed with
+the largest relative difference over them; any other is ``non-numeric``.
+Exits 1 if there is any such difference or a command fails on either side,
+2 if REV cannot be exported, 0 otherwise.
 
 Both sides run on this machine, so the comparison holds whatever BLAS build
 the machine has; no hash is committed. The experiment is the list ``STEPS``
@@ -18,6 +20,7 @@ one process to check that a rerun writes the same bytes.
 """
 
 import argparse
+import csv
 import json
 import os
 import struct
@@ -89,6 +92,62 @@ def output_files(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _split_numbers(name, data):
+    """(skeleton, numbers) of a JSON, CSV or ESIT file: its numbers in file
+    order and the rest of it with each number replaced by ``float``. None for
+    any other file or one that does not parse."""
+    suffix = Path(name).suffix
+    numbers = []
+
+    def split(value):
+        if isinstance(value, dict):
+            return {k: split(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [split(v) for v in value]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            numbers.append(value)
+            return float
+        return value
+
+    def cell(text):
+        try:
+            return split(float(text))
+        except ValueError:
+            return text
+
+    try:
+        if suffix == ".json":
+            return split(json.loads(data)), numbers
+        if suffix == ".csv":
+            rows = csv.reader(data.decode().splitlines())
+            return [[cell(c) for c in row] for row in rows], numbers
+        if suffix == ".esit":
+            end = 6 + 4 * data[5]
+            count = (len(data) - end) // 4
+            return data[:end], list(struct.unpack(f"<{count}f", data[end:]))
+    except (ValueError, IndexError, struct.error):
+        pass
+    return None
+
+
+def _relative_difference(a, b):
+    if a == b or (a != a and b != b):
+        return 0.0
+    rel = abs(a - b) / max(abs(a), abs(b))
+    return rel if rel == rel else float("inf")
+
+
+def _numeric_difference(name, data_a, data_b):
+    """The largest relative difference between the numbers of two versions
+    of a JSON, CSV or ESIT file, as text, or ``non-numeric`` if they differ
+    in anything but their numbers or are another kind of file."""
+    a, b = _split_numbers(name, data_a), _split_numbers(name, data_b)
+    if a is None or b is None or a[0] != b[0] or len(a[1]) != len(b[1]):
+        return "non-numeric"
+    worst = max(map(_relative_difference, a[1], b[1]), default=0.0)
+    return f"largest relative difference {worst:.2g}"
+
+
 def differences(files_a, files_b, transcript_a, transcript_b):
     """One line per file or command that is not the same on both sides."""
     lines = []
@@ -98,7 +157,8 @@ def differences(files_a, files_b, transcript_a, transcript_b):
         elif name not in files_a:
             lines.append(f"only in B: {name}")
         elif files_a[name] != files_b[name]:
-            lines.append(f"differs: {name}")
+            how = _numeric_difference(name, files_a[name], files_b[name])
+            lines.append(f"differs: {name} ({how})")
     for argv, a, b in zip(STEPS, transcript_a, transcript_b):
         if a[0] or b[0]:
             lines.append(f"command failed: esi {' '.join(argv)} "
