@@ -10,7 +10,9 @@ has used them, only tracked leaves and the root keep ``.grad``, and the
 graph cannot be swept twice. All math runs in float64. A central-difference
 checker (:func:`grad_check`) guards every gradient.
 
-Transforms use ``np.fft``. Scatters (the conv adjoint ``col2im`` and
+Convolutions are channels-last: input and output grids are NHWC, (b, h, w,
+c), and kernels are OIHW, (c_out, c_in, kh, kw). Transforms use ``np.fft``.
+Scatters (the conv adjoint ``col2im`` and
 overlap-add) are strided slice-adds made in a fixed order, so their sums
 equal an ``np.add.at`` over the same flattened index bit for bit.
 """
@@ -235,12 +237,6 @@ def take_along(x, idx, axis):
     return Var(np.take_along_axis(x.data, idx, axis=axis), (x,), vjp)
 
 
-def broadcast_to(x, shape):
-    x = as_var(x)
-    return Var(np.broadcast_to(x.data, shape).copy(), (x,),
-               lambda g: (_unbroadcast(g, x.shape),))
-
-
 def vsum(x, axis=None, keepdims=False):
     x = as_var(x)
     out = x.data.sum(axis=axis, keepdims=keepdims)
@@ -384,81 +380,70 @@ def ifft(re, im):
 
 
 # ---------------------------------------------------------------------------
-# 2-D convolution (NCHW, cross-correlation) and its adjoint
+# 2-D convolution (NHWC input, OIHW kernel, cross-correlation) and its adjoint
 
 
 def _pair(v):
     return (v, v) if np.isscalar(v) else tuple(v)
 
 
-def _conv_out_size(h, kh, stride, pad):
-    return (h + 2 * pad - kh) // stride + 1
-
-
-def _conv_taps(h, w, kh, kw, stride, pad):
-    """Output size, padding and, for each kernel tap ``k = i*kw + j`` in
-    row-major order, the strided (rows, cols) slices of the padded input
-    that the tap reads."""
-    (sh, sw), (ph, pw) = _pair(stride), _pair(pad)
-    ho = _conv_out_size(h, kh, sh, ph)
-    wo = _conv_out_size(w, kw, sw, pw)
-    taps = [(slice(i, i + sh * (ho - 1) + 1, sh), slice(j, j + sw * (wo - 1) + 1, sw))
-            for i in range(kh) for j in range(kw)]
-    return taps, ho, wo, ph, pw
-
-
 def _im2col(x, kh, kw, stride, pad):
-    b, c, h, w = x.shape
-    taps, ho, wo, ph, pw = _conv_taps(h, w, kh, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    patches = np.empty((b, c, kh * kw, ho, wo))
-    for k, (rows, cols) in enumerate(taps):
-        patches[:, :, k] = xp[:, :, rows, cols]
-    return patches.reshape(b, c * kh * kw, ho * wo), (ho, wo)
+    """The (b, ho, wo, c * kh * kw) columns of NHWC ``x``, each in (c, kh,
+    kw) order like ``kernel.reshape(c_out, -1)``."""
+    (sh, sw), (ph, pw) = _pair(stride), _pair(pad)
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::sh, ::sw]                      # (b, ho, wo, c, kh, kw)
+    return windows.reshape(windows.shape[:3] + (-1,))
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad):
-    # taps are added in k order, the order a scatter over the flattened
-    # (k, position) index uses, so every sum is bit-identical to np.add.at
-    b, c, h, w = x_shape
-    taps, ho, wo, ph, pw = _conv_taps(h, w, kh, kw, stride, pad)
-    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-    cols = cols.reshape(b, c, kh * kw, ho, wo)
-    for k, (rows, colsx) in enumerate(taps):
-        xp[:, :, rows, colsx] += cols[:, :, k]
-    return xp[:, :, ph:h + ph, pw:w + pw]
+    # taps are added in k = i*kw + j order, the order a scatter over the
+    # flattened (k, position) index uses, so every sum is bit-identical to
+    # np.add.at
+    b, h, w, c = x_shape
+    (sh, sw), (ph, pw) = _pair(stride), _pair(pad)
+    ho, wo = cols.shape[1:3]
+    xp = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+    cols = cols.reshape(b, ho, wo, c, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, i:i + sh * (ho - 1) + 1:sh, j:j + sw * (wo - 1) + 1:sw] += cols[..., i, j]
+    return xp[:, ph:h + ph, pw:w + pw]
 
 
 def _correlate(x, kernel, stride, pad):
-    """im2col then matmul, (b, c_in, h, w) -> (b, c_out, ho, wo), plus the columns."""
+    """im2col then matmul, (b, h, w, c_in) -> (b, ho, wo, c_out), plus the columns."""
     co, _, kh, kw = kernel.shape
-    cols, (ho, wo) = _im2col(x, kh, kw, stride, pad)
-    return (kernel.reshape(co, -1) @ cols).reshape(x.shape[0], co, ho, wo), cols
+    cols = _im2col(x, kh, kw, stride, pad)
+    b, ho, wo, n = cols.shape
+    out = cols.reshape(b, ho * wo, n) @ kernel.reshape(co, n).T
+    return out.reshape(b, ho, wo, co), cols
 
 
 def _correlate_adjoint(y, kernel, x_shape, stride, pad):
     """Adjoint of :func:`_correlate`: matmul then col2im onto ``x_shape``."""
-    co, _, kh, kw = kernel.shape
-    cols = np.matmul(kernel.reshape(co, -1).T, y.reshape(y.shape[0], co, -1))
-    return _col2im(cols, x_shape, kh, kw, stride, pad)
+    b, ho, wo, co = y.shape
+    _, _, kh, kw = kernel.shape
+    cols = y.reshape(b, ho * wo, co) @ kernel.reshape(co, -1)
+    return _col2im(cols.reshape(b, ho, wo, -1), x_shape, kh, kw, stride, pad)
 
 
 def _kernel_grad(y, cols, k_shape):
-    """sum_b y[b] @ cols[b].T for conv-side y and input-side columns."""
-    co = k_shape[0]
-    yf = y.reshape(y.shape[0], co, -1).transpose(1, 0, 2).reshape(co, -1)
-    cf = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
-    return (yf @ cf.T).reshape(k_shape)
+    """y (conv side) times the input-side columns, summed over the batch
+    and every position."""
+    return (y.reshape(-1, k_shape[0]).T @ cols.reshape(-1, cols.shape[-1])).reshape(k_shape)
 
 
 def conv2d(x, kernel, stride=1, padding=0):
-    """Cross-correlation, NCHW input, kernel (c_out, c_in, kh, kw)."""
+    """Cross-correlation of NHWC input (b, h, w, c_in) with an OIHW kernel
+    (c_out, c_in, kh, kw); returns (b, ho, wo, c_out)."""
     x, kernel = as_var(x), as_var(kernel)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ParameterError("conv2d expects 4-D input and kernel")
-    if x.shape[1] != kernel.shape[1]:
+    if x.shape[-1] != kernel.shape[1]:
         raise ParameterError(
-            f"conv2d channel mismatch: input {x.shape[1]}, kernel {kernel.shape[1]}"
+            f"conv2d channel mismatch: input {x.shape[-1]}, kernel {kernel.shape[1]}"
         )
     out, cols = _correlate(x.data, kernel.data, stride, padding)
     return Var(out, (x, kernel), lambda g: (
@@ -468,25 +453,25 @@ def conv2d(x, kernel, stride=1, padding=0):
 
 
 def transpose_conv2d(y, kernel, stride=1, padding=0):
-    """Exact adjoint of :func:`conv2d` with the same kernel: maps the
-    conv output space (c_out channels) back to the input space (c_in)."""
+    """Exact adjoint of :func:`conv2d` with the same kernel: maps the conv
+    output space (b, ho, wo, c_out) back to the input space (b, h, w, c_in)."""
     y, kernel = as_var(y), as_var(kernel)
     if y.data.ndim != 4 or kernel.data.ndim != 4:
         raise ParameterError("transpose_conv2d expects 4-D input and kernel")
-    if y.shape[1] != kernel.shape[0]:
+    if y.shape[-1] != kernel.shape[0]:
         raise ParameterError(
-            f"transpose_conv2d channel mismatch: input {y.shape[1]}, kernel {kernel.shape[0]}"
+            f"transpose_conv2d channel mismatch: input {y.shape[-1]}, kernel {kernel.shape[0]}"
         )
-    b, _, ho, wo = y.shape
+    b, ho, wo, _ = y.shape
     _, ci, kh, kw = kernel.shape
     (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
-    x_shape = (b, ci, sh * (ho - 1) + kh - 2 * ph, sw * (wo - 1) + kw - 2 * pw)
+    x_shape = (b, sh * (ho - 1) + kh - 2 * ph, sw * (wo - 1) + kw - 2 * pw, ci)
     out = _correlate_adjoint(y.data, kernel.data, x_shape, stride, padding)
 
     def vjp(g):
         if not y.tracked:
-            gcols = _im2col(g, kh, kw, stride, padding)[0]
-            return None, _kernel_grad(y.data, gcols, kernel.shape)
+            return None, _kernel_grad(y.data, _im2col(g, kh, kw, stride, padding),
+                                      kernel.shape)
         gy, gcols = _correlate(g, kernel.data, stride, padding)
         return gy, _kernel_grad(y.data, gcols, kernel.shape) if kernel.tracked else None
 

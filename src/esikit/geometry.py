@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EsiError, ParameterError
-from .tensorio import load_tensor, save_tensor
+from .tensorio import load_tensor, read_json, save_tensor
 
 SOURCE_RADIUS_MM = 80.0
 SENSOR_RADIUS_MM = 100.0
@@ -165,7 +165,7 @@ def save_source_space(space, path):
 
 
 def load_source_space(path):
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     return SourceSpace(
         centroids=np.asarray(doc["centroids"], dtype=np.float64),
         adjacency=tuple(tuple(int(b) for b in a) for a in doc["adjacency"]),

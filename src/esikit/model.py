@@ -10,6 +10,10 @@ upsamples channels to the source space with a transposed convolution, adds
 an MLP projection and a learned residual projection of the input, and runs
 a BiGRU over time.
 
+Each fragment's patch grid is (b, n_c, n_p, l). The spectral and temporal
+views work along its l samples; the patch-wise view's convs, which take
+NHWC grids and OIHW kernels, read it as it is, the samples as channels.
+
 The broadcast summary plane is never materialized. A convolution is linear
 in its input channels, so the first conv over the grid stacked with the
 plane is the sum of a conv over each; and the plane is constant along the
@@ -34,7 +38,7 @@ from .errors import ConfigError, DataError, DivergenceError, ParameterError
 from .nmm import iter_split
 from .optim import AdamState, adam_step, load_adam_state, save_adam_state
 from .patches import extract_patches, merge_patches, normalize_fragment
-from .tensorio import load_tensor_dir, save_tensor_dir
+from .tensorio import load_tensor_dir, read_json, save_tensor_dir
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,14 @@ class FairConfig:
 
 @dataclass
 class RefinementTrace:
-    """Intermediate states of one refinement block, kept for inspection."""
+    """Intermediate states of one refinement block, kept for inspection.
+
+    ``P`` (the block's input), ``P_S``, ``P_T``, ``P_L`` (the spectral,
+    temporal and fused views) and ``P_O`` (the output) are (b, n_c, n_p, l);
+    ``key_indices`` is (b, n_c); ``attention_out`` is (b, n_c, l, d); ``P_A``,
+    the first conv's input (``P_L`` stacked with the broadcast summary), is
+    (b, n_c, n_p, 2l).
+    """
     P: np.ndarray = None
     P_S: np.ndarray = None
     P_T: np.ndarray = None
@@ -216,55 +227,45 @@ def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
     att = layers.attention(emb, params[prefix + "attn.wq"],
                            params[prefix + "attn.wk"],
                            params[prefix + "attn.wv"])  # (b, n_c, l, d)
-    summary = layers.linear(att, params[prefix + "attn.out_w"],
-                            params[prefix + "attn.out_b"])  # (b, n_c, l, 1)
-    # fold patch samples into conv channels: (b, l, n_c, n_p) and (b, l, n_c, 1)
-    base = ad.transpose(g, (0, 3, 1, 2))
-    summary = ad.transpose(summary, (0, 2, 1, 3))
+    summary = ad.reshape(layers.linear(att, params[prefix + "attn.out_w"],
+                                       params[prefix + "attn.out_b"]),
+                         (b, n_c, 1, l))
     w1 = params[prefix + "conv.w1"]
-    h1 = ad.add(ad.conv2d(base, w1[:, :l], stride=1, padding=1),
+    h1 = ad.add(ad.conv2d(g, w1[:, :l], stride=1, padding=1),
                 _summary_conv(summary, w1[:, l:], n_p))
-    h1 = ad.add(h1, ad.reshape(ad.as_var(params[prefix + "conv.b1"]), (-1, 1, 1)))
-    h1 = _channel_layer_norm(ad.elu(h1), params[prefix + "conv.ln1_gain"],
-                             params[prefix + "conv.ln1_bias"])
+    h1 = ad.add(h1, params[prefix + "conv.b1"])
+    h1 = ad.layer_norm(ad.elu(h1), params[prefix + "conv.ln1_gain"],
+                       params[prefix + "conv.ln1_bias"])
     h2 = ad.transpose_conv2d(h1, params[prefix + "conv.w2"], stride=1, padding=1)
-    h2 = ad.add(h2, ad.reshape(ad.as_var(params[prefix + "conv.b2"]), (-1, 1, 1)))
-    h2 = _channel_layer_norm(ad.elu(h2), params[prefix + "conv.ln2_gain"],
-                             params[prefix + "conv.ln2_bias"])
-    out = ad.transpose(h2, (0, 2, 3, 1))                # (b, n_c, n_p, l)
+    h2 = ad.add(h2, params[prefix + "conv.b2"])
+    h2 = ad.layer_norm(ad.elu(h2), params[prefix + "conv.ln2_gain"],
+                       params[prefix + "conv.ln2_bias"])
     if trace is not None:
         trace.key_indices = key_idx.copy()
         trace.attention_out = att.data.copy()
-        plane = np.broadcast_to(summary.data, (b, l, n_c, n_p))
-        trace.P_A = np.concatenate([base.data, plane], axis=1)
-    return out
+        plane = np.broadcast_to(summary.data, g.shape)
+        trace.P_A = np.concatenate([g.data, plane], axis=-1)
+    return h2
 
 
 def _summary_conv(summary, kernel, n_p):
     """``conv2d(plane, kernel, padding=1)`` for the plane that repeats
-    ``summary`` (b, c_in, h, 1) ``n_p`` times along its last axis.
+    ``summary`` (b, h, 1, c_in) ``n_p`` times along its width axis.
 
     Each of the 3x3 kernel's columns j sees the same summary rows wherever
     it lands inside the plane, so one conv of the summary with the columns
-    as separate output channels gives every column's term; ``edge[j, p]``
+    as separate output channels gives every column's term; ``edge[p, j]``
     then adds column j into output position p when it reads inside the
     plane rather than its zero padding.
     """
-    b, _, h, _ = summary.shape
+    b, h, _, _ = summary.shape
     c_out, c_in, kh, kw = kernel.shape
-    cols = ad.reshape(ad.transpose(kernel, (0, 3, 1, 2)), (c_out * kw, c_in, kh, 1))
-    terms = ad.conv2d(summary, cols, stride=1, padding=(1, 0))  # (b, c_out*kw, h, 1)
-    terms = ad.transpose(ad.reshape(terms, (b, c_out, kw, h)), (0, 1, 3, 2))
-    reads = np.arange(kw)[:, None] + np.arange(n_p) - 1
-    edge = ((reads >= 0) & (reads < n_p)).astype(np.float64)    # (kw, n_p)
-    return ad.matmul(terms, edge)                               # (b, c_out, h, n_p)
-
-
-def _channel_layer_norm(x, gain, bias):
-    """LayerNorm over the channel axis of an NCHW tensor."""
-    xt = ad.transpose(x, (0, 2, 3, 1))
-    xt = ad.layer_norm(xt, gain, bias)
-    return ad.transpose(xt, (0, 3, 1, 2))
+    cols = ad.reshape(ad.transpose(kernel, (3, 0, 1, 2)), (kw * c_out, c_in, kh, 1))
+    terms = ad.conv2d(summary, cols, stride=1, padding=(1, 0))  # (b, h, 1, kw*c_out)
+    terms = ad.reshape(terms, (b, h, kw, c_out))
+    reads = np.arange(n_p)[:, None] + np.arange(kw) - 1
+    edge = ((reads >= 0) & (reads < n_p)).astype(np.float64)    # (n_p, kw)
+    return ad.matmul(edge, terms)                               # (b, h, n_p, c_out)
 
 
 def fair_block(grid, params, cfg, block_idx=0, trace=None):
@@ -379,9 +380,9 @@ def forward(X, params, cfg, return_trace=False):
 
     # transposed convolution upsamples the channel axis n_c -> n_s
     s = cfg.upsample_stride
-    up = ad.transpose_conv2d(ad.reshape(merged, (bsz, 1, n_c, n_t)),
+    up = ad.transpose_conv2d(ad.reshape(merged, (bsz, n_c, n_t, 1)),
                              params["head.up_w"], stride=(s, 1), padding=0)
-    up = ad.reshape(up[:, :, :cfg.n_regions, :], (bsz, cfg.n_regions, n_t))
+    up = ad.reshape(up[:, :cfg.n_regions], (bsz, cfg.n_regions, n_t))
     up = ad.add(up, ad.reshape(params["head.up_b"], (-1, 1)))
     up_t = ad.transpose(up, (0, 2, 1))                       # (b, n_t, n_s)
 
@@ -454,7 +455,7 @@ def save_checkpoint(out_dir, params, cfg, adam_state=None, epoch=None):
 
 def load_checkpoint(in_dir):
     in_dir = Path(in_dir)
-    meta = json.loads((in_dir / "model.json").read_text())
+    meta = read_json(in_dir / "model.json")
     meta["config"].pop("gru_hidden", None)   # older checkpoints; always n_regions // 2
     cfg = FairConfig(**meta["config"])
     params = {k: v.astype(np.float64)

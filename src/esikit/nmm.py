@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InstabilityError, ParameterError, PlacementError
+from .errors import DataError, FormatError, InstabilityError, ParameterError, PlacementError
 from .geometry import RegionSet, grow_patch, hop_distances
-from .tensorio import save_tensor, load_tensor
+from .tensorio import load_tensor, read_json, save_tensor
 
 INPUT_DT = 1e-3           # resolution of the piecewise-constant input drive
 HOP_DECAY = 0.7           # per-hop amplitude factor inside an extended source
@@ -340,7 +340,7 @@ def save_sample(sample, stem):
 
 def load_sample(meta_path):
     meta_path = Path(meta_path)
-    meta = json.loads(meta_path.read_text())
+    meta = read_json(meta_path)
     X = load_tensor(meta_path.parent / meta["X"]).astype(np.float64)
     S = load_tensor(meta_path.parent / meta["S"]).astype(np.float64)
     gt = tuple(RegionSet(frozenset(r)) for r in meta["ground_truth"])
@@ -373,8 +373,12 @@ def generate_dataset(space, lf, cfg_grid, n_samples, out_dir, seed_base=0):
 
 def load_manifest(manifest_path):
     manifest_path = Path(manifest_path)
-    entries = json.loads(manifest_path.read_text())
-    for e in entries:
+    entries = read_json(manifest_path)
+    if not isinstance(entries, list):
+        raise FormatError(f"{manifest_path}: not a list of entries")
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and "path" in e and "split" in e):
+            raise FormatError(f"{manifest_path}: entry {i} lacks 'path' or 'split'")
         e["path"] = str(manifest_path.parent / e["path"])
     return entries
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .tensorio import load_tensor_dir, save_tensor_dir
+from .tensorio import load_tensor_dir, read_json, save_tensor_dir
 
 
 @dataclass
@@ -66,7 +66,7 @@ def save_adam_state(state, out_dir):
 
 def load_adam_state(in_dir):
     in_dir = Path(in_dir)
-    scalars = json.loads((in_dir / "adam_state.json").read_text())
+    scalars = read_json(in_dir / "adam_state.json")
     state = AdamState(**{k: scalars[k] for k in
                          ("lr", "beta1", "beta2", "eps", "weight_decay", "step")})
     tensors = load_tensor_dir(in_dir / "adam_moments")

@@ -16,6 +16,15 @@ MAGIC = b"ESIT"
 VERSION = 1
 
 
+def read_json(path):
+    """The document in JSON file ``path``; FormatError, naming the file, if
+    it is not valid UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise FormatError(f"{path}: not valid JSON: {err}") from err
+
+
 def save_tensor(arr, path):
     """Write ``arr`` (any real dtype) as a float32 ESIT tensor file."""
     arr = np.asarray(arr, dtype=np.float32)
@@ -68,8 +77,7 @@ def load_tensor_dir(in_dir):
     index_path = in_dir / "index.json"
     if not index_path.exists():
         raise FormatError(f"{in_dir}: missing index.json")
-    with open(index_path) as fh:
-        index = json.load(fh)
+    index = read_json(index_path)
     out = {}
     for name, entry in index.items():
         arr = load_tensor(in_dir / entry["file"])

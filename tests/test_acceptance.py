@@ -71,9 +71,6 @@ def test_criterion_1_gradient_integrity(report):
     chk("getitem", lambda v: _sq(v[..., 1:3]), [x3])
     idx = r.integers(0, 3, (2, 1, 4))
     chk("take_along", lambda v: _sq(ad.take_along(v, idx, axis=1)), [x3])
-    chk("broadcast_to",
-        lambda v: _sq(ad.broadcast_to(ad.reshape(v, (2, 3, 4, 1)), (2, 3, 4, 5))),
-        [x3])
     chk("vsum", lambda v: _sq(ad.vsum(v, axis=1)), [x3])
     chk("tanh", lambda v: _sq(ad.tanh(v)), [a])
     chk("elu", lambda v: _sq(ad.elu(v)), [a])
@@ -84,10 +81,11 @@ def test_criterion_1_gradient_integrity(report):
     chk("fft", lambda v: _sq(ad.concat(list(ad.fft(v)), axis=0)), [x8])
     chk("ifft", lambda re, im: _sq(ad.ifft(re, im)),
         [r.standard_normal((3, 8)), r.standard_normal((3, 8))])
-    xc = r.standard_normal((2, 2, 5, 5))
+    # drawn as NCHW and transposed to NHWC, so the stream is unchanged
+    xc = r.standard_normal((2, 2, 5, 5)).transpose(0, 2, 3, 1)
     kc = r.standard_normal((3, 2, 3, 3))
     chk("conv2d", lambda v, w: _sq(ad.conv2d(v, w, 1, 1)), [xc, kc])
-    yc = r.standard_normal((2, 3, 5, 5))
+    yc = r.standard_normal((2, 3, 5, 5)).transpose(0, 2, 3, 1)
     chk("transpose_conv2d",
         lambda v, w: _sq(ad.transpose_conv2d(v, w, 1, 1)), [yc, kc])
     chk("overlap_add",

@@ -141,7 +141,7 @@ def test_elu_bits_match_select_and_keep_signed_zero():
 
 
 def test_conv2d_identity_kernel():
-    x = RNG.standard_normal((2, 3, 5, 7))
+    x = RNG.standard_normal((2, 5, 7, 3))
     k = np.zeros((3, 3, 1, 1))
     for c in range(3):
         k[c, c, 0, 0] = 1.0
@@ -149,27 +149,56 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_ones_kernel_constant_interior():
-    x = np.full((1, 1, 6, 6), 2.0)
+    x = np.full((1, 6, 6, 1), 2.0)
     k = np.ones((1, 1, 3, 3))
     out = ad.conv2d(x, k, stride=1, padding=1).data
-    np.testing.assert_allclose(out[0, 0, 1:-1, 1:-1], 18.0, atol=1e-12)
+    np.testing.assert_allclose(out[0, 1:-1, 1:-1, 0], 18.0, atol=1e-12)
 
 
 def test_conv2d_matches_scipy_correlate():
     from scipy.signal import correlate2d
 
-    x = RNG.standard_normal((1, 1, 8, 9))
+    x = RNG.standard_normal((1, 8, 9, 1))
     k = RNG.standard_normal((1, 1, 3, 3))
     out = ad.conv2d(x, k, stride=1, padding=1).data
-    ref = correlate2d(x[0, 0], k[0, 0], mode="same")
-    np.testing.assert_allclose(out[0, 0], ref, atol=1e-10)
+    ref = correlate2d(x[0, :, :, 0], k[0, 0], mode="same")
+    np.testing.assert_allclose(out[0, :, :, 0], ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+def test_conv_pair_matches_definition(stride, padding):
+    # out[b, y, x, o] = sum over taps (i, j) and channels c of
+    # x_pad[b, y*s + i, x*s + j, c] * k[o, c, i, j], written as loops over
+    # output pixels and taps; the transpose scatters the same products back
+    rng = np.random.Generator(np.random.PCG64(8))
+    x = rng.standard_normal((2, 7, 5, 3))
+    k = rng.standard_normal((4, 3, 3, 3))
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho = (xp.shape[1] - 3) // stride + 1
+    wo = (xp.shape[2] - 3) // stride + 1
+    y = rng.standard_normal((2, ho, wo, 4))
+    ref = np.zeros((2, ho, wo, 4))
+    ref_t = np.zeros(xp.shape)
+    for r in range(ho):
+        for c in range(wo):
+            for i in range(3):
+                for j in range(3):
+                    px = xp[:, r * stride + i, c * stride + j]        # (b, c_in)
+                    ref[:, r, c] += px @ k[:, :, i, j].T
+                    ref_t[:, r * stride + i, c * stride + j] += y[:, r, c] @ k[:, :, i, j]
+    ref_t = ref_t[:, padding:xp.shape[1] - padding, padding:xp.shape[2] - padding]
+    out = ad.conv2d(x, k, stride=stride, padding=padding).data
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    back = ad.transpose_conv2d(y, k, stride=stride, padding=padding).data
+    assert back.shape == ref_t.shape
+    np.testing.assert_allclose(back, ref_t, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), ((2, 1), (1, 0))])
 def test_transpose_conv_is_adjoint(stride, padding):
     # sizes chosen so the conv consumes the full (padded) input and the
     # transpose reconstruction is shape-exact
-    x = RNG.standard_normal((2, 3, 9, 9))
+    x = RNG.standard_normal((2, 9, 9, 3))
     k = RNG.standard_normal((4, 3, 3, 3))
     y = ad.conv2d(x, k, stride=stride, padding=padding).data
     g = RNG.standard_normal(y.shape)
@@ -183,16 +212,17 @@ def test_transpose_conv_is_adjoint(stride, padding):
 
 
 def _ref_col2im(cols, x_shape, kh, kw, stride, pad):
-    b, c, h, w = x_shape
+    # cols is (b, ho * wo, c * kh * kw), each column in (c, kh, kw) order
+    b, h, w, c = x_shape
     (sh, sw), (ph, pw) = ad._pair(stride), ad._pair(pad)
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
     rows = sh * np.repeat(np.arange(ho), wo)[None, :] + np.repeat(np.arange(kh), kw)[:, None]
     colsx = sw * np.tile(np.arange(wo), ho)[None, :] + np.tile(np.arange(kw), kh)[:, None]
-    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-    np.add.at(xp, (slice(None), slice(None), rows, colsx),
-              cols.reshape(b, c, kh * kw, ho * wo))
-    return xp[:, :, ph:h + ph, pw:w + pw]
+    xp = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+    np.add.at(xp, (slice(None), rows, colsx, slice(None)),
+              cols.reshape(b, ho * wo, c, kh * kw).transpose(0, 3, 1, 2))
+    return xp[:, ph:h + ph, pw:w + pw]
 
 
 def _ref_overlap_add(grid, stride, n_out):
@@ -203,11 +233,11 @@ def _ref_overlap_add(grid, stride, n_out):
     return out
 
 
-# (conv input shape, kernel shape, stride, padding)
+# (NHWC conv input shape, kernel shape, stride, padding)
 SCATTER_CASES = [
-    ((2, 32, 32, 15), (64, 32, 3, 3), 1, 1),         # refinement conv pair
-    ((2, 1, 66, 128), (1, 1, 4, 1), (2, 1), 0),      # head upsampler
-    ((2, 3, 9, 10), (4, 3, 3, 2), 2, 1),             # non-square kernel, stride 2
+    ((2, 32, 15, 32), (64, 32, 3, 3), 1, 1),         # refinement conv pair
+    ((2, 66, 128, 1), (1, 1, 4, 1), (2, 1), 0),      # head upsampler
+    ((2, 9, 10, 3), (4, 3, 3, 2), 2, 1),             # non-square kernel, stride 2
 ]
 
 
@@ -222,8 +252,8 @@ def test_col2im_bit_identical_to_scatter(x_shape, k_shape, stride, padding):
     y = ad.conv2d(xv, k, stride=stride, padding=padding)
     g = rng.standard_normal(y.shape)
     y.backward(g)
-    g2 = g.reshape(x_shape[0], co, -1)
-    ref_gx = _ref_col2im(np.matmul(w2.T, g2), x_shape, kh, kw, stride, padding)
+    g2 = g.reshape(x_shape[0], -1, co)
+    ref_gx = _ref_col2im(g2 @ w2, x_shape, kh, kw, stride, padding)
     assert np.array_equal(xv.grad, ref_gx)
     # transpose_conv2d's forward is the same scatter of the same columns
     out = ad.transpose_conv2d(g, k, stride=stride, padding=padding).data
@@ -261,7 +291,7 @@ def test_overlap_add_bit_identical_to_scatter(n_p, l, stride, extra):
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ParameterError):
-        ad.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)))
+        ad.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((1, 3, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +331,6 @@ def test_grad_structural_ops():
     assert ad.grad_check(lambda v: _sq(v[..., 1:3]), [x]) < 1e-7
     assert ad.grad_check(
         lambda v: _sq(ad.concat([v, ad.mul(v, 2.0)], axis=1)), [x]) < 1e-7
-    assert ad.grad_check(
-        lambda v: _sq(ad.broadcast_to(ad.reshape(v, (2, 3, 4, 1)), (2, 3, 4, 5))),
-        [x]) < 1e-7
 
 
 def test_getitem_advanced_key_raises():
@@ -373,12 +400,12 @@ def test_grad_fft_ifft():
 
 
 def test_grad_conv_and_transpose_conv():
-    x = RNG.standard_normal((2, 2, 5, 5))
+    x = RNG.standard_normal((2, 5, 5, 2))
     k = RNG.standard_normal((3, 2, 3, 3))
     err = ad.grad_check(lambda v, w: _sq(ad.conv2d(v, w, stride=1, padding=1)),
                         [x, k])
     assert err < 1e-5
-    y = RNG.standard_normal((2, 3, 5, 5))
+    y = RNG.standard_normal((2, 5, 5, 3))
     err = ad.grad_check(
         lambda v, w: _sq(ad.transpose_conv2d(v, w, stride=1, padding=1)), [y, k])
     assert err < 1e-5
@@ -455,9 +482,9 @@ TWO_PARENT_OPS = {
     "matmul": (ad.matmul, (2, 3, 4), (4, 5)),
     "concat": (lambda a, b: ad.concat([a, b], axis=1), (3, 4), (3, 2)),
     "conv2d": (lambda x, k: ad.conv2d(x, k, stride=1, padding=1),
-               (2, 2, 5, 5), (3, 2, 3, 3)),
+               (2, 5, 5, 2), (3, 2, 3, 3)),
     "transpose_conv2d": (lambda y, k: ad.transpose_conv2d(y, k, stride=1, padding=1),
-                         (2, 3, 5, 5), (3, 2, 3, 3)),
+                         (2, 5, 5, 3), (3, 2, 3, 3)),
 }
 
 

@@ -341,6 +341,64 @@ def test_non_utf8_config_is_validation_error(tmp_path):
     assert main(["eval", "--config", str(p)]) == 2
 
 
+def _test_sidecar(run):
+    entry = next(e for e in json.loads((run / "manifest.json").read_text())
+                 if e["split"] == "test")
+    return run / entry["path"]
+
+
+# (the file in a copy of the run dir, the command that reads it)
+JSON_INPUTS = {
+    "model.json": (lambda run: run / "best" / "model.json", "eval_fair"),
+    "adam_state.json": (lambda run: run / "best" / "adam_state.json", "train"),
+    "index.json": (lambda run: run / "best" / "params" / "index.json", "eval_fair"),
+    "manifest.json": (lambda run: run / "manifest.json", "eval_sloreta"),
+    "sidecar": (_test_sidecar, "eval_sloreta"),
+    "space.json": (lambda run: run / "space.json", "eval_sloreta"),
+}
+
+
+def _read_run(command, config, run, out):
+    argv = {"eval_fair": ["eval", "--solver", "fair", "--checkpoint", str(run / "best")],
+            "eval_sloreta": ["eval", "--solver", "sloreta"],
+            "train": ["train", "--checkpoint", str(run / "best")]}[command]
+    return main(argv + ["--config", str(config), "--manifest",
+                        str(run / "manifest.json"), "--out", str(out)])
+
+
+@pytest.mark.parametrize("name", sorted(JSON_INPUTS))
+def test_truncated_json_input_is_data_error(experiment, tmp_path, capsys, name):
+    _, config, doc = experiment
+    run = tmp_path / "run"
+    shutil.copytree(doc["paths"]["workdir"], run)
+    locate, command = JSON_INPUTS[name]
+    path = locate(run)
+    path.write_text(path.read_text()[:-5])
+    capsys.readouterr()
+    assert _read_run(command, config, run, tmp_path / "out") == 3
+    assert f"{path}: not valid JSON" in capsys.readouterr().err
+
+
+def _drop_split(entries):
+    del entries[1]["split"]
+    return entries
+
+
+@pytest.mark.parametrize("malform,message", [
+    (_drop_split, "entry 1 lacks 'path' or 'split'"),
+    (lambda entries: {"entries": entries}, "not a list of entries"),
+])
+def test_malformed_manifest_is_data_error(experiment, tmp_path, capsys, malform,
+                                          message):
+    _, config, doc = experiment
+    run = tmp_path / "run"
+    shutil.copytree(doc["paths"]["workdir"], run)
+    manifest = run / "manifest.json"
+    manifest.write_text(json.dumps(malform(json.loads(manifest.read_text()))))
+    assert _read_run("eval_sloreta", config, run, tmp_path / "out") == 3
+    assert message in capsys.readouterr().err
+
+
 def test_config_schema_is_valid():
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 

@@ -171,18 +171,17 @@ def broadcast_patch_refine(grid, params, prefix):
                            params[prefix + "attn.wk"], params[prefix + "attn.wv"])
     summary = layers.linear(att, params[prefix + "attn.out_w"],
                             params[prefix + "attn.out_b"])
-    plane = ad.broadcast_to(ad.reshape(summary, (b, n_c, 1, l)), (b, n_c, n_p, l))
-    aug = ad.concat([ad.transpose(g, (0, 3, 1, 2)),
-                     ad.transpose(plane, (0, 3, 1, 2))], axis=1)
+    plane = ad.matmul(np.ones((n_p, 1)), ad.reshape(summary, (b, n_c, 1, l)))
+    aug = ad.concat([g, plane], axis=-1)
     h1 = ad.conv2d(aug, params[prefix + "conv.w1"], stride=1, padding=1)
-    h1 = ad.add(h1, ad.reshape(ad.as_var(params[prefix + "conv.b1"]), (-1, 1, 1)))
-    h1 = fm._channel_layer_norm(ad.elu(h1), params[prefix + "conv.ln1_gain"],
-                                params[prefix + "conv.ln1_bias"])
+    h1 = ad.add(h1, params[prefix + "conv.b1"])
+    h1 = ad.layer_norm(ad.elu(h1), params[prefix + "conv.ln1_gain"],
+                       params[prefix + "conv.ln1_bias"])
     h2 = ad.transpose_conv2d(h1, params[prefix + "conv.w2"], stride=1, padding=1)
-    h2 = ad.add(h2, ad.reshape(ad.as_var(params[prefix + "conv.b2"]), (-1, 1, 1)))
-    h2 = fm._channel_layer_norm(ad.elu(h2), params[prefix + "conv.ln2_gain"],
-                                params[prefix + "conv.ln2_bias"])
-    return ad.transpose(h2, (0, 2, 3, 1)), aug.data
+    h2 = ad.add(h2, params[prefix + "conv.b2"])
+    h2 = ad.layer_norm(ad.elu(h2), params[prefix + "conv.ln2_gain"],
+                       params[prefix + "conv.ln2_bias"])
+    return h2, aug.data
 
 
 def _max_rel(a, b):
@@ -210,7 +209,7 @@ def test_patch_refine_split_conv_matches_broadcast_plane(n_p, n_blocks):
                 block_in, g = g, fm.patch_refine(g, pvars, cfg, prefix, trace)
                 aug = broadcast_patch_refine(ad.as_var(block_in).data, params,
                                              prefix)[1]
-                assert trace.P_A.shape == (2, 2 * cfg.patch_len, cfg.n_channels, n_p)
+                assert trace.P_A.shape == (2, cfg.n_channels, n_p, 2 * cfg.patch_len)
                 assert np.array_equal(trace.P_A, aug)
             else:
                 g = broadcast_patch_refine(g, pvars, prefix)[0]
