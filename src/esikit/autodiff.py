@@ -242,18 +242,10 @@ def vsum(x, axis=None, keepdims=False):
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
     return Var(out, (x,), vjp)
-
-
-def tanh(x):
-    x = as_var(x)
-    t = np.tanh(x.data)
-    return Var(t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
 def sigmoid_arrays(a):

@@ -262,13 +262,11 @@ def cmd_simulate(doc, out):
     save_source_space(space, out_dir / "space.json")
     save_lead_field(lf, out_dir / "leadfield.esit")
     sim = doc["simulation"]
-    grid = []
-    for cell in sim["grid"]:
-        grid.append(SimulationConfig(
-            snr_db=float(cell["snr_db"]), n_sources=cell["n_sources"],
-            extent=cell["extent"], n_timepoints=sim["n_timepoints"],
-            sample_rate=sim["sample_rate"], seed=0,
-            preset=sim.get("preset", "alpha")))
+    grid = [SimulationConfig(
+        snr_db=float(cell["snr_db"]), n_sources=cell["n_sources"],
+        extent=cell["extent"], n_timepoints=sim["n_timepoints"],
+        sample_rate=sim["sample_rate"], seed=0,
+        preset=sim.get("preset", "alpha")) for cell in sim["grid"]]
     manifest = generate_dataset(space, lf, grid, sim["n_samples_per_cell"],
                                 out_dir, seed_base=doc["seed"] * 100003)
     for i, cell in enumerate(sim["grid"]):
@@ -346,11 +344,12 @@ def cmd_localize(doc, checkpoint, fragment_path, out):
         raise ParameterError("localize needs --checkpoint")
     out_dir.mkdir(parents=True, exist_ok=True)
     params, cfg, _, _ = fm.load_checkpoint(checkpoint)
-    s_hat = fm.forward(load_tensor(fragment_path), params, cfg).data
+    fragment = load_tensor(fragment_path)
+    fm.check_fragment(fragment, cfg)
+    s_hat = fm.forward(fragment, params, cfg).data
     est_path = out_dir / "estimate.esit"
     save_tensor(s_hat, est_path)
-    workdir = Path(doc["paths"]["workdir"])
-    space = load_source_space(workdir / "space.json")
+    space = load_source_space(Path(doc["paths"]["workdir"]) / "space.json")
     svg_path = out_dir / "estimate.svg"
     svg_path.write_text(topography_svg(space, s_hat))
     print(f"estimate: {est_path}")

@@ -8,12 +8,13 @@ perturbation and unit-normalized columns.
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EsiError, ParameterError
+from .errors import EsiError, FormatError, ParameterError
 from .tensorio import load_tensor, read_json, save_tensor
 
 SOURCE_RADIUS_MM = 80.0
@@ -44,14 +45,6 @@ class LeadField:
     """Gain matrix mapping source regions to scalp channels."""
 
     matrix: np.ndarray               # (n_channels, n_regions)
-
-    @property
-    def n_channels(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n_regions(self):
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -152,21 +145,23 @@ def save_lead_field(lf, path):
 def load_lead_field(path):
     mat = load_tensor(path)
     if mat.ndim != 2:
-        raise ParameterError(f"{path}: lead field must be rank 2, got rank {mat.ndim}")
+        raise FormatError(f"{path}: lead field must be rank 2, got rank {mat.ndim}")
     return LeadField(matrix=mat.astype(np.float64))
 
 
 def save_source_space(space, path):
-    doc = {
-        "centroids": space.centroids.tolist(),
-        "adjacency": [list(a) for a in space.adjacency],
-    }
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_text(json.dumps({"centroids": space.centroids.tolist(),
+                                      "adjacency": [list(a) for a in space.adjacency]}))
 
 
 def load_source_space(path):
-    doc = read_json(path)
-    return SourceSpace(
-        centroids=np.asarray(doc["centroids"], dtype=np.float64),
-        adjacency=tuple(tuple(int(b) for b in a) for a in doc["adjacency"]),
-    )
+    def parse(doc):
+        space = SourceSpace(
+            centroids=np.asarray(doc["centroids"], dtype=np.float64),
+            adjacency=tuple(tuple(map(operator.index, a)) for a in doc["adjacency"]))
+        n = len(space.adjacency)
+        if space.centroids.shape != (n, 3) or not all(
+                0 <= b < n for a in space.adjacency for b in a):
+            raise ValueError(f"need ({n}, 3) centroids and neighbors in [0, {n})")
+        return space
+    return read_json(path, parse)

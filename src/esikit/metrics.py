@@ -112,9 +112,7 @@ def nmse(s_hat, s_true):
 
 def evaluate(s_hat, sample, space, threshold=DEFAULT_THRESHOLD):
     """All five metrics for one solver output against one sample."""
-    gt_union = set()
-    for fp in sample.ground_truth:
-        gt_union |= set(fp.regions)
+    gt_union = set().union(*(fp.regions for fp in sample.ground_truth))
     e = region_energy(s_hat)
     precision, recall = precision_recall(_active(e, threshold), gt_union)
     try:

@@ -27,6 +27,7 @@ import ctypes
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers
-from .errors import ConfigError, DataError, DivergenceError, ParameterError
+from .errors import ConfigError, DataError, DivergenceError, FormatError, ParameterError
 from .nmm import iter_split
 from .optim import AdamState, adam_step, load_adam_state, save_adam_state
 from .patches import extract_patches, merge_patches, normalize_fragment
@@ -67,12 +68,14 @@ class FairConfig:
             raise ConfigError("alpha must be in [0, 1]")
         if self.tau <= 0:
             raise ConfigError("tau must be > 0")
-        if self.n_blocks < 1:
-            raise ConfigError("n_blocks must be >= 1")
+        for name in ("n_channels", "n_regions", "n_timepoints", "n_blocks",
+                     "attention_dim", "mlp_hidden", "batch_size"):
+            if operator.index(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         l = self.patch_len
         if l < 2 or l & (l - 1):
             raise ConfigError(f"patch_len must be a power of two >= 2, got {l}")
-        if not (0 <= self.overlap < l):
+        if not (0 <= operator.index(self.overlap) < l):
             raise ConfigError(f"overlap must be in [0, {l}), got {self.overlap}")
         if self.n_regions % 2:
             raise ConfigError(
@@ -455,15 +458,22 @@ def save_checkpoint(out_dir, params, cfg, adam_state=None, epoch=None):
 
 def load_checkpoint(in_dir):
     in_dir = Path(in_dir)
-    meta = read_json(in_dir / "model.json")
-    meta["config"].pop("gru_hidden", None)   # older checkpoints; always n_regions // 2
-    cfg = FairConfig(**meta["config"])
+    cfg, shapes, epoch = read_json(in_dir / "model.json", lambda meta: (
+        cfg := FairConfig(**{k: v for k, v in dict(meta["config"]).items()
+                             if k != "gru_hidden"}),   # in older checkpoints
+        _param_shapes(cfg),
+        None if meta.get("epoch") is None else operator.index(meta["epoch"])))
     params = {k: v.astype(np.float64)
               for k, v in load_tensor_dir(in_dir / "params").items()}
-    adam_state = None
-    if (in_dir / "adam_state.json").exists():
-        adam_state = load_adam_state(in_dir)
-    return params, cfg, meta.get("epoch"), adam_state
+    if {k: v.shape for k, v in params.items()} != shapes:
+        raise FormatError(f"{in_dir}: params do not fit the checkpoint's config")
+    adam_state = load_adam_state(in_dir) if (in_dir / "adam_state.json").exists() else None
+    return params, cfg, epoch, adam_state
+
+
+@functools.cache   # init_params draws every param; localize loads a checkpoint per call
+def _param_shapes(cfg):
+    return {k: v.shape for k, v in init_params(cfg, 0).items()}
 
 
 # ---------------------------------------------------------------------------

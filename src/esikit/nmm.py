@@ -16,6 +16,7 @@ one thread; the loop holds the GIL, so threads would not run it any faster.
 
 import json
 import math
+import operator
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
@@ -304,9 +305,7 @@ def simulate_sample(space, lf, cfg, params=None):
 
 def _config_dict(cfg):
     d = asdict(cfg)
-    if d["snr_db"] == NOISELESS:
-        d["snr_db"] = "inf"
-    return d
+    return dict(d, snr_db="inf") if d["snr_db"] == NOISELESS else d
 
 
 def config_from_dict(d):
@@ -340,12 +339,15 @@ def save_sample(sample, stem):
 
 def load_sample(meta_path):
     meta_path = Path(meta_path)
-    meta = read_json(meta_path)
-    X = load_tensor(meta_path.parent / meta["X"]).astype(np.float64)
-    S = load_tensor(meta_path.parent / meta["S"]).astype(np.float64)
-    gt = tuple(RegionSet(frozenset(r)) for r in meta["ground_truth"])
-    return PairedSample(X=X, S=S, ground_truth=gt,
-                        config=config_from_dict(meta["config"]))
+    x_path, s_path, gt, cfg = read_json(meta_path, lambda meta: (
+        meta_path.parent / meta["X"], meta_path.parent / meta["S"],
+        tuple(RegionSet(frozenset(map(operator.index, r))) for r in meta["ground_truth"]),
+        config_from_dict(meta["config"])))
+    X, S = (load_tensor(p).astype(np.float64) for p in (x_path, s_path))
+    if (X.ndim != 2 or S.ndim != 2 or X.shape[1] != S.shape[1] or not gt or not all(
+            0 <= min(fp.regions) and max(fp.regions) < len(S) for fp in gt)):
+        raise FormatError(f"{meta_path}: X, S and ground_truth do not fit together")
+    return PairedSample(X=X, S=S, ground_truth=gt, config=cfg)
 
 
 def generate_dataset(space, lf, cfg_grid, n_samples, out_dir, seed_base=0):
@@ -373,14 +375,17 @@ def generate_dataset(space, lf, cfg_grid, n_samples, out_dir, seed_base=0):
 
 def load_manifest(manifest_path):
     manifest_path = Path(manifest_path)
-    entries = read_json(manifest_path)
-    if not isinstance(entries, list):
-        raise FormatError(f"{manifest_path}: not a list of entries")
-    for i, e in enumerate(entries):
-        if not (isinstance(e, dict) and "path" in e and "split" in e):
-            raise FormatError(f"{manifest_path}: entry {i} lacks 'path' or 'split'")
-        e["path"] = str(manifest_path.parent / e["path"])
-    return entries
+
+    def parse(entries):
+        if not isinstance(entries, list):
+            raise FormatError(f"{manifest_path}: not a list of entries")
+        for i, e in enumerate(entries):
+            if not (isinstance(e, dict) and "path" in e
+                    and e.get("split") in ("train", "val", "test")):
+                raise FormatError(f"{manifest_path}: entry {i} lacks 'path' or 'split'")
+            e["path"] = str(manifest_path.parent / e["path"])
+        return entries
+    return read_json(manifest_path, parse)
 
 
 def iter_split(entries, split):

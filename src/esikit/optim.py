@@ -1,12 +1,13 @@
 """Adam with decoupled weight decay, plus optimizer-state serialization."""
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 from .tensorio import load_tensor_dir, read_json, save_tensor_dir
 
 
@@ -54,23 +55,21 @@ def adam_step(state, params, grads):
 
 def save_adam_state(state, out_dir):
     out_dir = Path(out_dir)
-    tensors = {f"m/{k}": v for k, v in state.m.items()}
-    tensors.update({f"v/{k}": v for k, v in state.v.items()})
+    tensors = {f"{kind}/{k}": v for kind in "mv" for k, v in getattr(state, kind).items()}
     save_tensor_dir(tensors, out_dir / "adam_moments")
-    scalars = {
-        "lr": state.lr, "beta1": state.beta1, "beta2": state.beta2,
-        "eps": state.eps, "weight_decay": state.weight_decay, "step": state.step,
-    }
+    scalars = {k: getattr(state, k)
+               for k in ("lr", "beta1", "beta2", "eps", "weight_decay", "step")}
     (out_dir / "adam_state.json").write_text(json.dumps(scalars, indent=2))
 
 
 def load_adam_state(in_dir):
     in_dir = Path(in_dir)
-    scalars = read_json(in_dir / "adam_state.json")
-    state = AdamState(**{k: scalars[k] for k in
-                         ("lr", "beta1", "beta2", "eps", "weight_decay", "step")})
+    state = read_json(in_dir / "adam_state.json", lambda doc: AdamState(
+        **{k: float(doc[k]) for k in ("lr", "beta1", "beta2", "eps", "weight_decay")},
+        step=operator.index(doc["step"])))
     tensors = load_tensor_dir(in_dir / "adam_moments")
-    for key, arr in tensors.items():
-        kind, name = key.split("/", 1)
-        getattr(state, kind)[name] = arr.astype(np.float64)
+    state.m, state.v = ({k[2:]: arr.astype(np.float64) for k, arr in tensors.items()
+                         if k[:2] == kind} for kind in ("m/", "v/"))
+    if state.m.keys() != state.v.keys() or len(tensors) != 2 * len(state.m):
+        raise FormatError(f"{in_dir}: adam moments are not one m and one v per parameter")
     return state

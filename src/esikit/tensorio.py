@@ -5,6 +5,7 @@ dims as u32 little-endian, payload float32 little-endian row-major.
 """
 
 import json
+import operator
 import struct
 from pathlib import Path
 
@@ -16,13 +17,15 @@ MAGIC = b"ESIT"
 VERSION = 1
 
 
-def read_json(path):
-    """The document in JSON file ``path``; FormatError, naming the file, if
-    it is not valid UTF-8 JSON."""
+def read_json(path, parse):
+    """``parse(doc)`` of JSON file ``path``; FormatError naming the file if it is
+    not UTF-8 JSON or ``parse`` raises KeyError, IndexError, TypeError or ValueError."""
     try:
-        return json.loads(Path(path).read_text())
+        return parse(json.loads(Path(path).read_text()))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"{path}: not valid JSON: {err}") from err
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise FormatError(f"{path}: malformed: {err!r}") from err
 
 
 def save_tensor(arr, path):
@@ -67,21 +70,20 @@ def save_tensor_dir(tensors, out_dir):
         fname = name.replace("/", "_") + ".esit"
         save_tensor(tensors[name], out_dir / fname)
         index[name] = {"file": fname, "dims": list(np.shape(tensors[name]))}
-    with open(out_dir / "index.json", "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
+    (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True))
 
 
 def load_tensor_dir(in_dir):
     """Inverse of :func:`save_tensor_dir`; returns name -> float32 ndarray."""
     in_dir = Path(in_dir)
-    index_path = in_dir / "index.json"
-    if not index_path.exists():
+    if not (in_dir / "index.json").exists():
         raise FormatError(f"{in_dir}: missing index.json")
-    index = read_json(index_path)
+    index = read_json(in_dir / "index.json", lambda doc: {
+        name: (in_dir / entry["file"], tuple(map(operator.index, entry["dims"])))
+        for name, entry in dict(doc).items()})
     out = {}
-    for name, entry in index.items():
-        arr = load_tensor(in_dir / entry["file"])
-        if list(arr.shape) != list(entry["dims"]):
-            raise FormatError(f"{in_dir}/{entry['file']}: dims disagree with index")
-        out[name] = arr
+    for name, (path, dims) in index.items():
+        out[name] = load_tensor(path)
+        if out[name].shape != dims:
+            raise FormatError(f"{path}: dims disagree with index")
     return out

@@ -301,6 +301,20 @@ def test_localize_dim_mismatch(experiment, tmp_path, capsys):
     assert "fragment is 5x32, config expects 8x32" in capsys.readouterr().err
 
 
+def test_localize_stacked_fragment_is_validation_error(experiment, tmp_path,
+                                                       capsys):
+    # a (1, n_c, n_t) stack is not one fragment; forward would take it as a
+    # batch and the topography would index past its one row
+    _, config, doc = experiment
+    run = Path(doc["paths"]["workdir"])
+    frag = tmp_path / "stack.esit"
+    save_tensor(np.zeros((1, 8, 32)), frag)
+    assert main(["localize", "--config", str(config),
+                 "--checkpoint", str(run / "best"),
+                 "--fragment", str(frag), "--out", str(tmp_path / "x")]) == 2
+    assert "fragment is 1x8x32, config expects 8x32" in capsys.readouterr().err
+
+
 def test_localize_non_finite_fragment_is_data_error(experiment, tmp_path,
                                                     capsys):
     _, config, doc = experiment
@@ -397,6 +411,52 @@ def test_malformed_manifest_is_data_error(experiment, tmp_path, capsys, malform,
     manifest.write_text(json.dumps(malform(json.loads(manifest.read_text()))))
     assert _read_run("eval_sloreta", config, run, tmp_path / "out") == 3
     assert message in capsys.readouterr().err
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _first(doc, change):
+    """``doc`` with its first entry (a manifest's first item, an index's
+    first name) passed through ``change``."""
+    if isinstance(doc, list):
+        return [change(doc[0])] + doc[1:]
+    first = next(iter(doc))
+    return {**doc, first: change(doc[first])}
+
+
+# valid JSON of the wrong shape for each of JSON_INPUTS: a required key
+# dropped, then a value retyped (the manifest's dropped key is already caught
+# by test_malformed_manifest_is_data_error; its retyped path and split are not)
+WRONG_SHAPES = {
+    "model.json": [lambda d: _without(d, "config"), lambda d: dict(d, config=[]),
+                   lambda d: dict(d, epoch="3")],
+    "adam_state.json": [lambda d: _without(d, "step"), lambda d: dict(d, lr="fast")],
+    "index.json": [lambda d: _first(d, lambda e: _without(e, "file")),
+                   lambda d: _first(d, lambda e: dict(e, dims=5)),
+                   lambda d: _first(d, lambda e: dict(e, dims=[float(n) for n in e["dims"]]))],
+    "manifest.json": [lambda d: _first(d, lambda e: _without(e, "path")),
+                      lambda d: _first(d, lambda e: dict(e, path=7)),
+                      lambda d: _first(d, lambda e: dict(e, split=7))],
+    "sidecar": [lambda d: _without(d, "X"), lambda d: dict(d, ground_truth=[["a"]])],
+    "space.json": [lambda d: _without(d, "centroids"),
+                   lambda d: dict(d, adjacency=[["x"]] + d["adjacency"][1:])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_INPUTS))
+def test_wrong_shape_json_input_is_data_error(experiment, tmp_path, capsys, name):
+    _, config, doc = experiment
+    locate, command = JSON_INPUTS[name]
+    for k, malform in enumerate(WRONG_SHAPES[name]):
+        run = tmp_path / f"run{k}"
+        shutil.copytree(doc["paths"]["workdir"], run)
+        path = locate(run)
+        path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert _read_run(command, config, run, tmp_path / f"out{k}") == 3, k
+        assert str(path) in capsys.readouterr().err, k
 
 
 def test_config_schema_is_valid():
@@ -729,3 +789,137 @@ def test_differences_quantify_numeric_changes():
         "differs: map.svg (non-numeric)",
         f"differs: summary.json (largest relative difference {rel:.2g})",
     ]
+
+
+# ---------------------------------------------------------------------------
+# exit codes under corrupted inputs: a seeded fuzz over the input files of
+# the same-bytes experiment
+
+
+@pytest.fixture(scope="module")
+def trained_scenario(tmp_path_factory):
+    """A directory holding the same-bytes experiment's config and zero
+    fragment, after its simulate and first train step."""
+    samebytes = _load_samebytes()
+    root = tmp_path_factory.mktemp("fuzz") / "base"
+    root.mkdir()
+    (root / "config.json").write_text(json.dumps(samebytes.CONFIG))
+    (root / "zero.X.esit").write_bytes(samebytes.ZERO_FRAGMENT)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for argv in samebytes.STEPS[:2]:
+            assert main(argv) == 0
+    return root
+
+
+# the corrupted files, each with whether only `esi train` reads it; the
+# others are read by `esi eval` or `esi localize`
+FUZZ_TARGETS = {
+    "config.json": False,
+    "zero.X.esit": False,
+    "data/manifest.json": False,
+    "data/space.json": False,
+    "data/leadfield.esit": False,
+    "data/sample_000_000011.json": False,     # test split, and the fragment
+    "data/sample_000_000011.X.esit": False,   # localize reads
+    "data/sample_001_000011.json": False,
+    "data/sample_001_000011.S.esit": False,
+    "data/sample_000_000000.json": True,      # train split
+    "data/sample_000_000003.X.esit": True,
+    "data/sample_001_000010.json": True,      # val split
+    "train/best/model.json": False,
+    "train/best/params/index.json": False,
+    "train/best/params/gru.fw.u.esit": False,
+    "train/best/params/head.res_w.esit": False,
+    "train/best/adam_state.json": True,
+    "train/best/adam_moments/index.json": True,
+    "train/best/adam_moments/m_head.res_w.esit": True,
+}
+FUZZ_CASES = 80
+_RETYPED = [None, True, "x", 2.5, 3, -1, [], [1], {}, {"a": 1}]
+
+
+def _json_nodes(value, where=()):
+    """(path, value) of ``value`` and of everything nested in it."""
+    yield where, value
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _json_nodes(child, where + (key,))
+
+
+def _corrupt(path, rng):
+    """Corrupt ``path`` in place one seeded way: truncate it, flip bytes,
+    drop or retype a JSON key, or rewrite an ESIT header's rank and dims
+    (most keep the payload's size). Returns what was done."""
+    data = path.read_bytes()
+    extra = ["drop", "retype"] if path.suffix == ".json" else ["dims"]
+    kind = rng.choice(["truncate", "flip"] + 2 * extra)
+    if kind == "truncate":
+        path.write_bytes(data[:rng.randrange(len(data))])
+        return kind
+    if kind == "flip":
+        flipped = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            flipped[rng.randrange(len(flipped))] ^= rng.randint(1, 255)
+        path.write_bytes(bytes(flipped))
+        return kind
+    if kind == "dims":
+        rank = data[5]
+        dims = list(struct.unpack_from(f"<{rank}I", data, 6))
+        new = rng.choice([dims[::-1], [int(np.prod(dims))], [1] + dims, dims + [1],
+                          [dims[0] + 1] + dims[1:]])
+        path.write_bytes(data[:4] + struct.pack(f"<BB{len(new)}I", data[4], len(new), *new)
+                         + data[6 + 4 * rank:])
+        return f"dims {dims} -> {new}"
+    doc = json.loads(data)
+    nodes = list(_json_nodes(doc))
+    if kind == "drop":
+        where, parent = rng.choice([(w, v) for w, v in nodes if isinstance(v, dict) and v])
+        key = rng.choice(sorted(parent))
+        del parent[key]
+        how = f"drop {list(where) + [key]}"
+    else:
+        where, value = rng.choice(nodes)
+        new = rng.choice([v for v in _RETYPED if type(v) is not type(value)])
+        if where:
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = new
+        else:
+            doc = new
+        how = f"retype {list(where)} to {new!r}"
+    path.write_text(json.dumps(doc))
+    return how
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # corrupted values overflow
+def test_corrupted_inputs_exit_with_documented_codes(trained_scenario, tmp_path,
+                                                     monkeypatch):
+    # each case corrupts one input file of a copy of the experiment and runs
+    # the commands that read it: resume training, or eval with both solvers
+    # and both localize steps, which here localize with `train/best` as the
+    # checkpoint; each must return 0, 2, 3 or 4, never raise
+    steps = [[a.replace("resumed/best", "train/best") for a in argv]
+             for argv in _load_samebytes().STEPS]
+    readers = {True: steps[3:4], False: steps[4:]}
+    bad = []
+    for case in range(FUZZ_CASES):
+        rng = random.Random(case)
+        root = tmp_path / f"case{case}"
+        shutil.copytree(trained_scenario, root)
+        target = rng.choice(sorted(FUZZ_TARGETS))
+        how = _corrupt(root / target, rng)
+        monkeypatch.chdir(root)
+        for argv in readers[FUZZ_TARGETS[target]]:
+            try:
+                code = main(argv)
+            except Exception as err:
+                code = repr(err)
+            if code not in (0, 2, 3, 4):
+                bad.append(f"case {case}, {target} ({how}): "
+                           f"esi {' '.join(argv)} -> {code}")
+        monkeypatch.chdir(tmp_path)
+        shutil.rmtree(root)
+    assert bad == []

@@ -16,6 +16,7 @@ from esikit.geometry import (
     save_lead_field,
     save_source_space,
 )
+from esikit.tensorio import save_tensor
 
 
 def ring_space(n):
@@ -151,6 +152,26 @@ def test_lead_field_load_bad_magic(tmp_path):
     p = tmp_path / "lf.esit"
     p.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(FormatError):
+        load_lead_field(p)
+
+
+@pytest.mark.parametrize("malform", [
+    lambda d: dict(d, centroids=[c[:2] for c in d["centroids"]]),
+    lambda d: dict(d, adjacency=d["adjacency"][:-1]),
+    lambda d: dict(d, adjacency=[[len(d["adjacency"])]] + d["adjacency"][1:]),
+], ids=["2d_centroids", "adjacency_row_missing", "neighbor_out_of_range"])
+def test_source_space_load_checks_shapes_and_indices(tmp_path, malform):
+    p = tmp_path / "s.json"
+    save_source_space(build_synthetic_source_space(16, 3, seed=9), p)
+    p.write_text(json.dumps(malform(json.loads(p.read_text()))))
+    with pytest.raises(FormatError, match="s.json"):
+        load_source_space(p)
+
+
+def test_lead_field_load_wrong_rank_is_format_error(tmp_path):
+    p = tmp_path / "lf.esit"
+    save_tensor(np.zeros((2, 4, 8)), p)
+    with pytest.raises(FormatError, match="rank 2, got rank 3"):
         load_lead_field(p)
 
 

@@ -9,7 +9,13 @@ import pytest
 import esikit.model as fm
 from esikit import autodiff as ad
 from esikit import layers
-from esikit.errors import ConfigError, DataError, DivergenceError, ParameterError
+from esikit.errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    FormatError,
+    ParameterError,
+)
 from esikit.geometry import build_lead_field, build_synthetic_source_space
 from esikit.nmm import SimulationConfig, generate_dataset, load_manifest
 from esikit.optim import AdamState, adam_step
@@ -22,6 +28,17 @@ TOY = fm.FairConfig(n_channels=4, n_regions=8, n_timepoints=32,
 
 # ---------------------------------------------------------------------------
 # config
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_channels", 0), ("n_timepoints", -32), ("attention_dim", 0),
+    ("mlp_hidden", 2.5), ("batch_size", 0), ("overlap", 2.5),
+])
+def test_config_sizes_are_positive_integers(field, value):
+    # a checkpoint's config is read from a file: a size that no array can
+    # take is rejected when the config is built, not deep in a forward
+    with pytest.raises((ConfigError, TypeError)):
+        replace(TOY, **{field: value})
 
 
 def test_config_validation():
@@ -478,6 +495,17 @@ def test_checkpoint_round_trip(tmp_path):
     a = fm.forward(X, params, TOY).data
     b = fm.forward(X, back_params, back_cfg).data
     np.testing.assert_allclose(a, b, atol=1e-4)   # f32 storage
+
+
+def test_load_checkpoint_rejects_params_that_do_not_fit_the_config(tmp_path):
+    short = fm.init_params(TOY, seed=4)
+    del short["head.res_w"]
+    for name, params in [("two_blocks", fm.init_params(replace(TOY, n_blocks=2), 4)),
+                         ("wider", fm.init_params(replace(TOY, mlp_hidden=9), 4)),
+                         ("short", short)]:
+        fm.save_checkpoint(tmp_path / name, params, TOY, epoch=1)
+        with pytest.raises(FormatError, match="do not fit"):
+            fm.load_checkpoint(tmp_path / name)
 
 
 def test_load_checkpoint_drops_legacy_gru_hidden(tmp_path):

@@ -5,8 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esikit.errors import DataError, InstabilityError, ParameterError, PlacementError
-from esikit.geometry import build_lead_field, build_synthetic_source_space, grow_patch
+from esikit.errors import (
+    DataError,
+    FormatError,
+    InstabilityError,
+    ParameterError,
+    PlacementError,
+)
+from esikit.geometry import (
+    RegionSet,
+    build_lead_field,
+    build_synthetic_source_space,
+    grow_patch,
+)
 from esikit.nmm import (
     ALPHA_PRESET,
     NOISELESS,
@@ -260,6 +271,19 @@ def test_sample_round_trip(tmp_path, space, lf):
     np.testing.assert_allclose(back.S, sample.S, atol=1e-4)
     assert back.ground_truth == sample.ground_truth
     assert back.config == sample.config
+
+
+@pytest.mark.parametrize("malform", [
+    lambda s: replace(s, X=s.X[None]),
+    lambda s: replace(s, S=s.S[:, :-1]),
+    lambda s: replace(s, ground_truth=()),
+    lambda s: replace(s, ground_truth=(RegionSet(frozenset([len(s.S)])),)),
+], ids=["X_of_rank_3", "S_one_sample_short", "no_source", "region_past_S"])
+def test_load_sample_parts_must_fit_together(tmp_path, space, lf, malform):
+    sample = simulate_sample(space, lf, cfg(space, seed=11))
+    meta = save_sample(malform(sample), tmp_path / "s0")
+    with pytest.raises(FormatError, match="do not fit together"):
+        load_sample(meta)
 
 
 def test_generate_dataset_counts_and_manifest(tmp_path, space, lf):

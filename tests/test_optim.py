@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esikit.errors import ParameterError
+from esikit.errors import FormatError, ParameterError
 from esikit.optim import AdamState, adam_step, load_adam_state, save_adam_state
 
 
@@ -69,3 +69,11 @@ def test_state_round_trip(tmp_path):
     for k in state.m:
         np.testing.assert_allclose(back.m[k], state.m[k], atol=1e-7)
         np.testing.assert_allclose(back.v[k], state.v[k], atol=1e-7)
+
+
+@pytest.mark.parametrize("m, v", [({"w": np.ones(3)}, {}),
+                                  ({"w": np.ones(3)}, {"b": np.ones(2)})])
+def test_load_adam_state_needs_one_m_and_one_v_per_param(tmp_path, m, v):
+    save_adam_state(AdamState(step=2, m=m, v=v), tmp_path)
+    with pytest.raises(FormatError, match="one m and one v"):
+        load_adam_state(tmp_path)
