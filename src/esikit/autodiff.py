@@ -11,10 +11,11 @@ graph cannot be swept twice. All math runs in float64. A central-difference
 checker (:func:`grad_check`) guards every gradient.
 
 Convolutions are channels-last: input and output grids are NHWC, (b, h, w,
-c), and kernels are OIHW, (c_out, c_in, kh, kw). Transforms use ``np.fft``.
-Scatters (the conv adjoint ``col2im`` and
-overlap-add) are strided slice-adds made in a fixed order, so their sums
-equal an ``np.add.at`` over the same flattened index bit for bit.
+c), and kernels are OIHW, (c_out, c_in, kh, kw). Transforms use ``np.fft``;
+a spectrum is one real (..., 2, l) array, its real part stacked over its
+imaginary part. Scatters (the conv adjoint ``col2im`` and overlap-add) are
+strided slice-adds made in a fixed order, so their sums equal an
+``np.add.at`` over the same flattened index bit for bit.
 """
 
 import numpy as np
@@ -248,11 +249,6 @@ def vsum(x, axis=None, keepdims=False):
     return Var(out, (x,), vjp)
 
 
-def sigmoid_arrays(a):
-    """Logistic function of an array."""
-    return 1.0 / (1.0 + np.exp(-a))
-
-
 def elu(x):
     """elu(x) = x for x >= 0, exp(x) - 1 otherwise.
 
@@ -323,52 +319,45 @@ def _check_fft_length(l):
         raise ParameterError(f"FFT length must be a power of two, got {l}")
 
 
-def fft_arrays(x):
-    """Forward DFT of a real array over its last axis -> (re, im)."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_fft_length(x.shape[-1])
-    f = np.fft.fft(x)
-    return f.real.copy(), f.imag.copy()
+def _stack_parts(f):
+    """The (..., 2, l) real/imaginary stack of complex ``f``, C-ordered
+    whatever ``f``'s memory order, so softmax sums over it keep their bits."""
+    spec = np.empty(f.shape[:-1] + (2, f.shape[-1]))
+    spec[..., 0, :] = f.real
+    spec[..., 1, :] = f.imag
+    return spec
 
 
-def _ifft_complex(re, im):
-    re = np.asarray(re, dtype=np.float64)
-    _check_fft_length(re.shape[-1])
-    return np.fft.ifft(re + 1j * np.asarray(im, dtype=np.float64))
+def _ifft_complex(spec):
+    spec = np.asarray(spec, dtype=np.float64)
+    _check_fft_length(spec.shape[-1])
+    return np.fft.ifft(spec[..., 0, :] + 1j * spec[..., 1, :])
 
 
-def ifft_arrays(re, im):
-    """Real part of the inverse DFT over the last axis."""
-    return _ifft_complex(re, im).real.copy()
-
-
-def ifft_imag_residue(re, im):
+def ifft_imag_residue(spec):
     """L2 norm of the discarded imaginary part of the inverse transform."""
-    return float(np.linalg.norm(_ifft_complex(re, im).imag))
+    return float(np.linalg.norm(_ifft_complex(spec).imag))
 
 
 def fft(x):
-    """Differentiable forward DFT of a real Var; returns (re, im) Vars."""
-    xv = as_var(x)
-    re_d, im_d = fft_arrays(xv.data)
-    # d re_k / d x_n = cos(2*pi*n*k/l)  (symmetric)  -> vjp_re(g) = Re(F g)
-    # d im_k / d x_n = -sin(2*pi*n*k/l) (symmetric)  -> vjp_im(g) = Im(F g)
-    re = Var(re_d, (xv,), lambda g: (fft_arrays(g)[0],))
-    im = Var(im_d, (xv,), lambda g: (fft_arrays(g)[1],))
-    return re, im
-
-
-def ifft(re, im):
-    """Differentiable real-part inverse DFT of a (re, im) Var pair."""
-    re, im = as_var(re), as_var(im)
-    out = ifft_arrays(re.data, im.data)
-    l = re.shape[-1]
-
+    """Differentiable last-axis DFT of a real Var: its (..., 2, l) spectrum."""
+    x = as_var(x)
+    _check_fft_length(x.shape[-1])
+    # d re_k / d x_n = cos(2*pi*n*k/l) and d im_k / d x_n = -sin(2*pi*n*k/l)
+    # are symmetric in (n, k), so vjp(g) = Re(F g_re) + Im(F g_im)
     def vjp(g):
-        fr, fi = fft_arrays(g)
-        return fr / l, fi / l
+        f = np.fft.fft(g)
+        return (f[..., 0, :].real + f[..., 1, :].imag,)
 
-    return Var(out, (re, im), vjp)
+    return Var(_stack_parts(np.fft.fft(x.data)), (x,), vjp)
+
+
+def ifft(spec):
+    """Differentiable real part of the inverse DFT of a (..., 2, l) spectrum."""
+    spec = as_var(spec)
+    l = spec.shape[-1]
+    return Var(_ifft_complex(spec.data).real.copy(), (spec,),
+               lambda g: (_stack_parts(np.fft.fft(g)) / l,))
 
 
 # ---------------------------------------------------------------------------
@@ -474,30 +463,23 @@ def transpose_conv2d(y, kernel, stride=1, padding=0):
 # overlap-add (linear scatter of windows back onto a time axis)
 
 
-def overlap_add_arrays(windows, stride, n_out):
-    """Add windows (..., n_p, l) onto a length-``n_out`` axis at starts
-    ``stride * p``, in patch order."""
-    n_p, l = windows.shape[-2], windows.shape[-1]
-    if stride * (n_p - 1) + l > n_out:
-        raise ParameterError("overlap_add: windows overrun the output axis")
-    out = np.zeros(windows.shape[:-2] + (n_out,))
-    for p in range(n_p):
-        out[..., stride * p:stride * p + l] += windows[..., p, :]
-    return out
-
-
 def gather_windows(x, n_p, l, stride):
-    """Adjoint of :func:`overlap_add_arrays`: the ``n_p`` length-``l``
-    windows (..., n_p, l) of x's last axis at starts ``stride * p``."""
+    """Adjoint of :func:`overlap_add`: the ``n_p`` length-``l`` windows
+    (..., n_p, l) of x's last axis at starts ``stride * p``."""
     return x[..., stride * np.arange(n_p)[:, None] + np.arange(l)]
 
 
 def overlap_add(grid, stride, n_out):
-    """Scatter windows (..., n_p, l) onto a length-``n_out`` axis by addition."""
+    """Add windows (..., n_p, l) onto a length-``n_out`` axis at starts
+    ``stride * p``, in patch order."""
     grid = as_var(grid)
     n_p, l = grid.shape[-2:]
-    return Var(overlap_add_arrays(grid.data, stride, n_out), (grid,),
-               lambda g: (gather_windows(g, n_p, l, stride),))
+    if stride * (n_p - 1) + l > n_out:
+        raise ParameterError("overlap_add: windows overrun the output axis")
+    out = np.zeros(grid.shape[:-2] + (n_out,))
+    for p in range(n_p):
+        out[..., stride * p:stride * p + l] += grid.data[..., p, :]
+    return Var(out, (grid,), lambda g: (gather_windows(g, n_p, l, stride),))
 
 
 # ---------------------------------------------------------------------------

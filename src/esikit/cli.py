@@ -15,6 +15,7 @@ from . import metrics as mx
 from .errors import (
     ConfigError,
     DataError,
+    FormatError,
     NumericalError,
     ParameterError,
 )
@@ -294,7 +295,12 @@ def cmd_train(doc, manifest_path, out, checkpoint=None):
     return result
 
 
-def _eval_solver(name, entries, doc, space, lf, checkpoint):
+def _check_regions(path, n, space, space_path):
+    if n != space.n_regions:
+        raise FormatError(f"{path}: {n} regions, but {space_path} has {space.n_regions}")
+
+
+def _eval_solver(name, entries, doc, space, space_path, lf, checkpoint):
     evaluation = doc["evaluation"]
     threshold = evaluation.get("threshold", mx.DEFAULT_THRESHOLD)
     lam = evaluation.get("sloreta_lambda", DEFAULT_LAMBDA)
@@ -302,11 +308,12 @@ def _eval_solver(name, entries, doc, space, lf, checkpoint):
         if not checkpoint:
             raise ParameterError("fair solver needs --checkpoint")
         params, cfg, _, _ = fm.load_checkpoint(checkpoint)
+        _check_regions(Path(checkpoint) / "model.json", cfg.n_regions, space, space_path)
         solved = fm.solve_split(entries, params, cfg)
     else:
         solve = sloreta_operator(lf, lam)
         solved = ((sample, solve(sample.X))
-                  for sample in iter_split(entries, "test"))
+                  for sample in iter_split(entries, "test", space.n_regions))
     return [mx.evaluate(s_hat, sample, space, threshold)
             for sample, s_hat in solved]
 
@@ -316,12 +323,14 @@ def cmd_eval(doc, manifest_path, out, solvers, checkpoint):
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = Path(manifest_path)
     entries = load_manifest(manifest_path)
-    space = load_source_space(manifest_path.parent / "space.json")
-    lf = load_lead_field(manifest_path.parent / "leadfield.esit")
+    space_path = manifest_path.parent / "space.json"
+    lf_path = manifest_path.parent / "leadfield.esit"
+    space, lf = load_source_space(space_path), load_lead_field(lf_path)
+    _check_regions(lf_path, lf.matrix.shape[1], space, space_path)
     summaries = {}
     paths = []
     for name in solvers:
-        reports = _eval_solver(name, entries, doc, space, lf, checkpoint)
+        reports = _eval_solver(name, entries, doc, space, space_path, lf, checkpoint)
         csv_path = out_dir / f"eval_{name}.csv"
         mx.write_report_csv(reports, csv_path)
         summaries[name] = mx.aggregate(reports)
@@ -344,12 +353,14 @@ def cmd_localize(doc, checkpoint, fragment_path, out):
         raise ParameterError("localize needs --checkpoint")
     out_dir.mkdir(parents=True, exist_ok=True)
     params, cfg, _, _ = fm.load_checkpoint(checkpoint)
+    space_path = Path(doc["paths"]["workdir"]) / "space.json"
+    space = load_source_space(space_path)
+    _check_regions(Path(checkpoint) / "model.json", cfg.n_regions, space, space_path)
     fragment = load_tensor(fragment_path)
     fm.check_fragment(fragment, cfg)
     s_hat = fm.forward(fragment, params, cfg).data
     est_path = out_dir / "estimate.esit"
     save_tensor(s_hat, est_path)
-    space = load_source_space(Path(doc["paths"]["workdir"]) / "space.json")
     svg_path = out_dir / "estimate.svg"
     svg_path.write_text(topography_svg(space, s_hat))
     print(f"estimate: {est_path}")

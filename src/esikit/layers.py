@@ -115,7 +115,7 @@ def _gru(x, weights, reverse):
     for t in range(T):
         hp = hs[t]
         # z and r from one product per row
-        zr = ad.sigmoid_arrays(xw[:, :, t, None, :2 * h] + hp @ uzr_t)
+        zr = 1.0 / (1.0 + np.exp(-(xw[:, :, t, None, :2 * h] + hp @ uzr_t)))
         z, r = zr[..., :h], zr[..., h:]
         n = np.tanh(xw[:, :, t, None, 2 * h:] + (r * hp) @ un_t)
         zs[t], rs[t], ns[t] = z, r, n

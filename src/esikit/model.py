@@ -172,14 +172,11 @@ def init_params(cfg, seed):
 
 def spectral_refine(grid, tau, reweight=False):
     """FFT each patch, temperature-softmax the real and imaginary parts
-    independently, inverse-transform, keep the real part."""
-    re, im = ad.fft(grid)
-    rs = ad.temp_softmax(re, tau, axis=-1)
-    is_ = ad.temp_softmax(im, tau, axis=-1)
-    if reweight:
-        rs = ad.mul(re, rs)
-        is_ = ad.mul(im, is_)
-    return ad.ifft(rs, is_)
+    independently (reweighting the spectrum by that softmax if
+    ``reweight``), inverse-transform, keep the real part."""
+    spec = ad.fft(grid)
+    w = ad.temp_softmax(spec, tau, axis=-1)
+    return ad.ifft(ad.mul(spec, w) if reweight else w)
 
 
 def temporal_refine(grid, tau):
@@ -420,7 +417,7 @@ def solve_split(entries, params, cfg):
     Every fragment of a batch is checked, in order, before it is stacked,
     so a wrong shape or a non-finite value raises as a lone forward would.
     """
-    samples = iter_split(entries, "test")
+    samples = iter_split(entries, "test", cfg.n_regions)
     while batch := list(itertools.islice(samples, SOLVE_BATCH)):
         for sample in batch:
             check_fragment(sample.X, cfg)

@@ -388,13 +388,17 @@ def load_manifest(manifest_path):
     return read_json(manifest_path, parse)
 
 
-def iter_split(entries, split):
+def iter_split(entries, split, n_regions=None):
     """Yield the samples of one split in manifest order, loading each only
-    when it is reached; raise DataError if the split has none."""
+    when it is reached; raise DataError if the split has none, and a
+    FormatError naming a sample whose S does not have ``n_regions`` rows."""
     found = False
     for e in entries:
         if e["split"] == split:
             found = True
-            yield load_sample(e["path"])
+            sample = load_sample(e["path"])
+            if n_regions not in (None, len(sample.S)):
+                raise FormatError(f"{e['path']}: {len(sample.S)} regions, not {n_regions}")
+            yield sample
     if not found:
         raise DataError(f"manifest has no samples in split '{split}'")

@@ -61,7 +61,7 @@ def merge_patches(grid):
 def coverage_counts(n_patches, l, stride):
     """How many windows cover each padded time sample."""
     n_pad = stride * (n_patches - 1) + l
-    return ad.overlap_add_arrays(np.ones((n_patches, l)), stride, n_pad)
+    return ad.overlap_add(np.ones((n_patches, l)), stride, n_pad).data
 
 
 def normalize_fragment(x):

@@ -19,6 +19,8 @@ from esikit import model as fm
 from esikit import cli, sloreta
 from esikit.cli import CONFIG_SCHEMA, load_config, main
 from esikit.errors import ConfigError
+from esikit.geometry import (build_lead_field, build_synthetic_source_space,
+                             save_lead_field, save_source_space)
 from esikit.nmm import load_manifest, load_sample
 from esikit.tensorio import load_tensor, save_tensor
 
@@ -457,6 +459,38 @@ def test_wrong_shape_json_input_is_data_error(experiment, tmp_path, capsys, name
         capsys.readouterr()
         assert _read_run(command, config, run, tmp_path / f"out{k}") == 3, k
         assert str(path) in capsys.readouterr().err, k
+
+
+# an 8-region space.json (with or without its own 8-region lead field) next to
+# the experiment's 16-region samples, lead field and checkpoint; each case
+# names the file whose region count disagrees first
+@pytest.mark.parametrize("command, own_lead_field, named", [
+    ("eval_sloreta", False, lambda run: run / "leadfield.esit"),
+    ("eval_sloreta", True, _test_sidecar),
+    ("eval_fair", True, lambda run: run / "best" / "model.json"),
+    ("localize", False, lambda run: run / "best" / "model.json"),
+])
+def test_region_count_mismatch_is_data_error(experiment, tmp_path, capsys, command,
+                                             own_lead_field, named):
+    _, _, doc = experiment
+    run = tmp_path / "run"
+    shutil.copytree(doc["paths"]["workdir"], run)
+    config, _ = make_config(tmp_path, paths={"workdir": str(run)})
+    space = build_synthetic_source_space(8, 3, seed=0)
+    save_source_space(space, run / "space.json")
+    if own_lead_field:
+        save_lead_field(build_lead_field(space, 8, seed=1), run / "leadfield.esit")
+    capsys.readouterr()
+    if command == "localize":
+        code = main(["localize", "--config", str(config), "--checkpoint",
+                     str(run / "best"), "--fragment",
+                     str(_test_sidecar(run).with_suffix(".X.esit")),
+                     "--out", str(tmp_path / "out")])
+    else:
+        code = _read_run(command, config, run, tmp_path / "out")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{named(run)}: " in err and "16 regions" in err, err
 
 
 def test_config_schema_is_valid():

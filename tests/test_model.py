@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from esikit.errors import (
 from esikit.geometry import build_lead_field, build_synthetic_source_space
 from esikit.nmm import SimulationConfig, generate_dataset, load_manifest
 from esikit.optim import AdamState, adam_step
+from esikit.patches import extract_patches
 
 RNG = np.random.Generator(np.random.PCG64(5))
 
@@ -130,6 +135,23 @@ def test_spectral_reweight_oracle_and_grad():
         lambda g: ad.vsum(ad.mul(fm.spectral_refine(g, tau, reweight=True), w)),
         [grid])
     assert err < 1e-7
+
+
+@pytest.mark.parametrize("reweight", [False, True])
+def test_spectral_refine_bits_do_not_depend_on_grid_layout(reweight):
+    # extract_patches' grid is a gather, laid out (n_p, l, b, n_c) in memory;
+    # the spectrum is built C-ordered, so its softmax sums take the bits of
+    # a C-ordered grid whatever the grid's own layout
+    grid = extract_patches(RNG.standard_normal((3, 4, 32)), 8, 4).patches
+    assert not grid.flags.c_contiguous
+    seed = RNG.standard_normal(grid.shape)
+    results = []
+    for g in (grid, np.ascontiguousarray(grid), np.asfortranarray(grid)):
+        v = ad.Var(g)
+        out = fm.spectral_refine(v, 0.1, reweight)
+        out.backward(seed)
+        results.append((out.data.tobytes(), v.grad.tobytes()))
+    assert results[0] == results[1] == results[2]
 
 
 def test_temporal_refine_constant_and_spike():
@@ -466,6 +488,41 @@ def test_ndarray_param_forward_builds_no_tape(model_batch):
     assert outs["tracked"]._vjp is not None
     assert not outs["constant"].tracked and outs["constant"]._parents == ()
     assert peaks["constant"] <= 0.5 * peaks["tracked"], peaks
+
+
+# one sha256 over a b=16 loss at MODEL's sizes, its gradients, and the b=1
+# and b=5 forwards, printed by a fresh interpreter
+_BLAS_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+import esikit.model as fm
+cfg = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128)
+rng = np.random.Generator(np.random.PCG64(11))
+params = fm.init_params(cfg, seed=3)
+X, S = rng.standard_normal((16, 32, 128)), rng.standard_normal((16, 64, 128))
+pvars = fm._as_param_vars(params)
+lv = fm.loss(fm.forward(X, pvars, cfg), S)
+lv.backward()
+h = hashlib.sha256(lv.data.tobytes())
+for k in sorted(pvars):
+    h.update(k.encode() + pvars[k].grad.tobytes())
+for x in (X[0], X[:5]):
+    h.update(fm.forward(x, params, cfg).data.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    src = str(Path(fm.__file__).resolve().parents[1])
+    hashes = {}
+    for n in (1, 2, 4):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_HASH_SCRIPT], capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(n)))
+        assert proc.returncode == 0, proc.stderr
+        hashes[n] = proc.stdout.strip()
+    assert len(set(hashes.values())) == 1, hashes
 
 
 # ---------------------------------------------------------------------------
