@@ -109,27 +109,8 @@ class Var:
                     parent.grad = parent.grad + g
 
     # operator sugar (thin wrappers over module-level primitives)
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -238,12 +219,12 @@ def take_along(x, idx, axis):
     return Var(np.take_along_axis(x.data, idx, axis=axis), (x,), vjp)
 
 
-def vsum(x, axis=None, keepdims=False):
+def vsum(x, axis=None):
     x = as_var(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+    out = x.data.sum(axis=axis)
 
     def vjp(g):
-        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
     return Var(out, (x,), vjp)
@@ -289,13 +270,14 @@ def temp_softmax(x, tau, axis=-1):
     return Var(s, (x,), vjp)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x, gain, bias):
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5),
+    then affine."""
     x, gain, bias = as_var(x), as_var(gain), as_var(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 

@@ -64,14 +64,14 @@ def gru_forward(x, w, u, b, reverse=False):
     return _gru(x, [(w, u, b)], [reverse])
 
 
-def bigru(x, params, prefix="gru"):
+def bigru(x, params):
     """Bidirectional GRU; concatenates forward and backward hidden states.
 
-    ``params`` maps f"{prefix}.fw.w|u|b" and f"{prefix}.bw.w|u|b" to Vars
-    or ndarrays. Both directions step in one time loop and form one node.
+    ``params`` maps "gru.fw.w|u|b" and "gru.bw.w|u|b" to Vars or ndarrays.
+    Both directions step in one time loop and form one node.
     Returns (batch, T, 2h).
     """
-    return _gru(x, [tuple(params[f"{prefix}.{d}.{k}"] for k in "wub")
+    return _gru(x, [tuple(params[f"gru.{d}.{k}"] for k in "wub")
                     for d in ("fw", "bw")], [False, True])
 
 

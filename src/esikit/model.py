@@ -417,12 +417,18 @@ def solve_split(entries, params, cfg):
     Every fragment of a batch is checked, in order, before it is stacked,
     so a wrong shape or a non-finite value raises as a lone forward would.
     """
-    samples = iter_split(entries, "test", cfg.n_regions)
+    samples = _checked_split(entries, "test", cfg)
     while batch := list(itertools.islice(samples, SOLVE_BATCH)):
-        for sample in batch:
-            check_fragment(sample.X, cfg)
         s_hat = forward(np.stack([sample.X for sample in batch]), params, cfg).data
         yield from zip(batch, s_hat)
+
+
+def _checked_split(entries, split, cfg):
+    """Yield a split's samples in manifest order, each checked as it loads:
+    its S for ``cfg.n_regions`` rows, its X by :func:`check_fragment`."""
+    for sample in iter_split(entries, split, cfg.n_regions):
+        check_fragment(sample.X, cfg)
+        yield sample
 
 
 def loss(s_hat, s_true):
@@ -488,15 +494,18 @@ class TrainResult:
     best_val: float = float("inf")
 
 
-def _load_split(manifest_entries, split):
-    xs, ss = zip(*((s.X, s.S) for s in iter_split(manifest_entries, split)))
+def _load_split(entries, split, cfg):
+    xs, ss = zip(*((s.X, s.S) for s in _checked_split(entries, split, cfg)))
     return np.stack(xs), np.stack(ss)
 
 
-def evaluate_loss(xs, ss, params, cfg, batch_size=32):
+EVAL_BATCH = 32   # fragments per forward of the validation loss
+
+
+def evaluate_loss(xs, ss, params, cfg):
     total, count = 0.0, 0
-    for i in range(0, len(xs), batch_size):
-        xb, sb = xs[i:i + batch_size], ss[i:i + batch_size]
+    for i in range(0, len(xs), EVAL_BATCH):
+        xb, sb = xs[i:i + EVAL_BATCH], ss[i:i + EVAL_BATCH]
         lv = loss(forward(xb, params, cfg), sb)
         total += float(lv.data) * len(xb)
         count += len(xb)
@@ -509,8 +518,8 @@ def train(manifest_entries, cfg, epochs=30, *, seed, out_dir,
     """Mini-batch Adam with plateau LR halving and best-val checkpointing."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    xs_train, ss_train = _load_split(manifest_entries, "train")
-    xs_val, ss_val = _load_split(manifest_entries, "val")
+    xs_train, ss_train = _load_split(manifest_entries, "train", cfg)
+    xs_val, ss_val = _load_split(manifest_entries, "val", cfg)
     if params is None:
         params = init_params(cfg, seed)
     if adam_state is None:

@@ -388,7 +388,7 @@ def load_manifest(manifest_path):
     return read_json(manifest_path, parse)
 
 
-def iter_split(entries, split, n_regions=None):
+def iter_split(entries, split, n_regions):
     """Yield the samples of one split in manifest order, loading each only
     when it is reached; raise DataError if the split has none, and a
     FormatError naming a sample whose S does not have ``n_regions`` rows."""
@@ -397,7 +397,7 @@ def iter_split(entries, split, n_regions=None):
         if e["split"] == split:
             found = True
             sample = load_sample(e["path"])
-            if n_regions not in (None, len(sample.S)):
+            if len(sample.S) != n_regions:
                 raise FormatError(f"{e['path']}: {len(sample.S)} regions, not {n_regions}")
             yield sample
     if not found:

@@ -144,6 +144,35 @@ def test_train_rejects_uncuttable_patches_before_writing(experiment, tmp_path,
                  "--out", str(out)]) == 2
 
 
+# one training sample cut to 9 of 16 regions or 5 of 8 channels: esi train
+# checks each training and validation sample as esi eval checks a test sample
+@pytest.mark.parametrize("tensor, rows, code, message", [
+    ("S", 9, 3, "{sidecar}: 9 regions, not 16"),
+    ("X", 5, 2, "fragment is 5x32, config expects 8x32"),
+], ids=["regions", "channels"])
+def test_train_checks_each_sample(experiment, tmp_path, capsys, tensor, rows,
+                                  code, message):
+    _, config, doc = experiment
+    run = tmp_path / "run"
+    shutil.copytree(doc["paths"]["workdir"], run)
+
+    def meta(e):
+        return json.loads((run / e["path"]).read_text())
+    # a cut S must still hold the ground truth, or the sidecar check fires first
+    sidecar = run / next(
+        e["path"] for e in json.loads((run / "manifest.json").read_text())
+        if e["split"] == "train"
+        and (tensor == "X" or max(map(max, meta(e)["ground_truth"])) < rows))
+    path = run / json.loads(sidecar.read_text())[tensor]
+    save_tensor(load_tensor(path)[:rows], path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--manifest",
+                 str(run / "manifest.json"), "--out", str(out)]) == code
+    assert message.format(sidecar=sidecar) in capsys.readouterr().err
+    assert not (out / "train_log.csv").exists()
+
+
 def test_eval_both_solvers(experiment, tmp_path):
     _, config, doc = experiment
     run = Path(doc["paths"]["workdir"])

@@ -339,28 +339,29 @@ def split_entries(tmp_path_factory, space, lf):
                                           seed_base=40))
 
 
-def test_iter_split_manifest_order_and_split(split_entries):
+def test_iter_split_manifest_order_and_split(split_entries, space):
     for split in ("train", "val", "test"):
         wanted = [e for e in split_entries if e["split"] == split]
-        got = list(iter_split(split_entries, split))
+        got = list(iter_split(split_entries, split, space.n_regions))
         assert [s.config.seed for s in got] == [e["config"]["seed"] for e in wanted]
         for sample, e in zip(got, wanted):
             np.testing.assert_array_equal(sample.X, load_sample(e["path"]).X)
-    assert [s.config.seed for s in iter_split(split_entries, "test")] == [51, 63]
+    assert [s.config.seed for s in iter_split(split_entries, "test",
+                                               space.n_regions)] == [51, 63]
 
 
-def test_iter_split_missing_split_raises(split_entries):
+def test_iter_split_missing_split_raises(split_entries, space):
     with pytest.raises(DataError):
-        list(iter_split(split_entries, "holdout"))
+        list(iter_split(split_entries, "holdout", space.n_regions))
     with pytest.raises(DataError):
-        list(iter_split([], "test"))
+        list(iter_split([], "test", space.n_regions))
 
 
-def test_iter_split_streams(split_entries, tmp_path):
+def test_iter_split_streams(split_entries, space, tmp_path):
     entries = [dict(e) for e in split_entries]
     second_test = [e for e in entries if e["split"] == "test"][1]
     second_test["path"] = str(tmp_path / "missing.json")
-    samples = iter_split(entries, "test")
+    samples = iter_split(entries, "test", space.n_regions)
     assert next(samples).config.seed == 51      # loaded before the bad entry
     with pytest.raises(FileNotFoundError):
         next(samples)
