@@ -253,18 +253,18 @@ def elu(x):
 # softmax / layer norm
 
 
-def temp_softmax(x, tau, axis=-1):
-    """Temperature-scaled softmax along ``axis`` (max-subtracted)."""
+def temp_softmax(x, tau):
+    """Temperature-scaled softmax along the last axis (max-subtracted)."""
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
     x = as_var(x)
     s = x.data / tau
-    s -= s.max(axis=axis, keepdims=True)
+    s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=axis, keepdims=True)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - dot) / tau,)
 
     return Var(s, (x,), vjp)

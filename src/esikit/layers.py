@@ -42,7 +42,7 @@ def attention(x, w_q, w_k, w_v):
     v = linear(x, w_v)
     d = q.shape[-1]
     scores = ad.mul(ad.matmul(q, ad.transpose(k, _swap_last(k))), 1.0 / np.sqrt(d))
-    weights = ad.temp_softmax(scores, tau=1.0, axis=-1)
+    weights = ad.temp_softmax(scores, tau=1.0)
     return ad.matmul(weights, v)
 
 

@@ -37,7 +37,7 @@ from . import autodiff as ad
 from . import layers
 from .errors import ConfigError, DataError, DivergenceError, FormatError, ParameterError
 from .nmm import iter_split
-from .optim import AdamState, adam_step, load_adam_state, save_adam_state
+from .optim import AdamState, adam_step
 from .patches import extract_patches, merge_patches, normalize_fragment
 from .tensorio import load_tensor_dir, read_json, save_tensor_dir
 
@@ -98,9 +98,7 @@ class RefinementTrace:
 
     ``P`` (the block's input), ``P_S``, ``P_T``, ``P_L`` (the spectral,
     temporal and fused views) and ``P_O`` (the output) are (b, n_c, n_p, l);
-    ``key_indices`` is (b, n_c); ``attention_out`` is (b, n_c, l, d); ``P_A``,
-    the first conv's input (``P_L`` stacked with the broadcast summary), is
-    (b, n_c, n_p, 2l).
+    ``key_indices`` is (b, n_c); ``attention_out`` is (b, n_c, l, d).
     """
     P: np.ndarray = None
     P_S: np.ndarray = None
@@ -108,7 +106,6 @@ class RefinementTrace:
     P_L: np.ndarray = None
     key_indices: np.ndarray = None
     attention_out: np.ndarray = None
-    P_A: np.ndarray = None
     P_O: np.ndarray = None
 
 
@@ -175,13 +172,13 @@ def spectral_refine(grid, tau, reweight=False):
     independently (reweighting the spectrum by that softmax if
     ``reweight``), inverse-transform, keep the real part."""
     spec = ad.fft(grid)
-    w = ad.temp_softmax(spec, tau, axis=-1)
+    w = ad.temp_softmax(spec, tau)
     return ad.ifft(ad.mul(spec, w) if reweight else w)
 
 
 def temporal_refine(grid, tau):
     """Temperature softmax along the time axis of each patch."""
-    return ad.temp_softmax(grid, tau, axis=-1)
+    return ad.temp_softmax(grid, tau)
 
 
 def fuse(p_s, p_t, alpha):
@@ -243,8 +240,6 @@ def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
     if trace is not None:
         trace.key_indices = key_idx.copy()
         trace.attention_out = att.data.copy()
-        plane = np.broadcast_to(summary.data, g.shape)
-        trace.P_A = np.concatenate([g.data, plane], axis=-1)
     return h2
 
 
@@ -449,17 +444,30 @@ def loss(s_hat, s_true):
 # checkpoints
 
 
+_ADAM_SCALARS = ("lr", "beta1", "beta2", "eps", "weight_decay")
+
+
 def save_checkpoint(out_dir, params, cfg, adam_state=None, epoch=None):
+    """Write ``params/``, ``model.json`` (config and epoch) and, given an Adam
+    state, its ``m/<param>``, ``v/<param>`` tensors in ``adam_moments/`` and
+    its scalars in ``adam_state.json``; only :func:`load_checkpoint` reads them."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_tensor_dir(params, out_dir / "params")
     meta = {"config": asdict(cfg), "epoch": epoch}
     (out_dir / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     if adam_state is not None:
-        save_adam_state(adam_state, out_dir)
+        save_tensor_dir({f"{kind}/{k}": v for kind in "mv"
+                         for k, v in getattr(adam_state, kind).items()},
+                        out_dir / "adam_moments")
+        scalars = {k: getattr(adam_state, k) for k in (*_ADAM_SCALARS, "step")}
+        (out_dir / "adam_state.json").write_text(json.dumps(scalars, indent=2))
 
 
 def load_checkpoint(in_dir):
+    """(params, config, epoch, Adam state or None) from :func:`save_checkpoint`'s
+    directory. FormatError unless the params have the config's shapes and
+    ``m`` and ``v`` hold moments of the same params, each of its param's shape."""
     in_dir = Path(in_dir)
     cfg, shapes, epoch = read_json(in_dir / "model.json", lambda meta: (
         cfg := FairConfig(**{k: v for k, v in dict(meta["config"]).items()
@@ -470,7 +478,17 @@ def load_checkpoint(in_dir):
               for k, v in load_tensor_dir(in_dir / "params").items()}
     if {k: v.shape for k, v in params.items()} != shapes:
         raise FormatError(f"{in_dir}: params do not fit the checkpoint's config")
-    adam_state = load_adam_state(in_dir) if (in_dir / "adam_state.json").exists() else None
+    if not (in_dir / "adam_state.json").exists():
+        return params, cfg, epoch, None
+    adam_state = read_json(in_dir / "adam_state.json", lambda doc: AdamState(
+        **{k: float(doc[k]) for k in _ADAM_SCALARS}, step=operator.index(doc["step"])))
+    moments = load_tensor_dir(in_dir / "adam_moments")
+    adam_state.m, adam_state.v = ({k[2:]: v.astype(np.float64) for k, v in moments.items()
+                                   if k[:2] == kind} for kind in ("m/", "v/"))
+    fitted = {k: shapes[k] for k in adam_state.m if k in shapes}
+    if ({k: v.shape for k, v in moments.items()}
+            != {f"{kind}/{k}": shape for kind in "mv" for k, shape in fitted.items()}):
+        raise FormatError(f"{in_dir}: adam moments do not fit the checkpoint's params")
     return params, cfg, epoch, adam_state
 
 

@@ -294,10 +294,8 @@ def add_noise(x_clean, snr_db, seed):
     return x_clean + np.sqrt(p_noise) * rng.standard_normal(x_clean.shape)
 
 
-def simulate_sample(space, lf, cfg, params=None):
-    if params is None:
-        params = PRESETS[cfg.preset]
-    S, gt = generate_source_activity(space, cfg, params)
+def simulate_sample(space, lf, cfg):
+    S, gt = generate_source_activity(space, cfg, PRESETS[cfg.preset])
     x_clean = project_forward(lf, S)
     X = add_noise(x_clean, cfg.snr_db, seed=cfg.seed ^ 0x5EED)
     return PairedSample(X=X, S=S, ground_truth=gt, config=cfg)

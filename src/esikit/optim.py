@@ -1,14 +1,11 @@
-"""Adam with decoupled weight decay, plus optimizer-state serialization."""
+"""Adam with decoupled weight decay. A checkpoint's Adam state is written
+and read by ``model.save_checkpoint`` and ``model.load_checkpoint``."""
 
-import json
-import operator
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
-from .tensorio import load_tensor_dir, read_json, save_tensor_dir
+from .errors import ParameterError
 
 
 @dataclass
@@ -52,24 +49,3 @@ def adam_step(state, params, grads):
         p -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
     return params
 
-
-def save_adam_state(state, out_dir):
-    out_dir = Path(out_dir)
-    tensors = {f"{kind}/{k}": v for kind in "mv" for k, v in getattr(state, kind).items()}
-    save_tensor_dir(tensors, out_dir / "adam_moments")
-    scalars = {k: getattr(state, k)
-               for k in ("lr", "beta1", "beta2", "eps", "weight_decay", "step")}
-    (out_dir / "adam_state.json").write_text(json.dumps(scalars, indent=2))
-
-
-def load_adam_state(in_dir):
-    in_dir = Path(in_dir)
-    state = read_json(in_dir / "adam_state.json", lambda doc: AdamState(
-        **{k: float(doc[k]) for k in ("lr", "beta1", "beta2", "eps", "weight_decay")},
-        step=operator.index(doc["step"])))
-    tensors = load_tensor_dir(in_dir / "adam_moments")
-    state.m, state.v = ({k[2:]: arr.astype(np.float64) for k, arr in tensors.items()
-                         if k[:2] == kind} for kind in ("m/", "v/"))
-    if state.m.keys() != state.v.keys() or len(tensors) != 2 * len(state.m):
-        raise FormatError(f"{in_dir}: adam moments are not one m and one v per parameter")
-    return state

@@ -4,6 +4,8 @@ import numpy as np
 
 from .metrics import region_energy
 
+SIZE = 480   # px, the map's width and height
+
 
 def _color(t):
     """Gray (zero) through blue to red (max)."""
@@ -14,19 +16,19 @@ def _color(t):
     return f"rgb({r},{g},{max(b, 0)})"
 
 
-def topography_svg(space, s_hat, width=480, height=480):
+def topography_svg(space, s_hat):
     """Top-down disc map: one circle per region centroid, colored by energy."""
     e = region_energy(s_hat)
     peak = e.max()
     coords = space.centroids
     span = float(np.abs(coords[:, :2]).max()) or 1.0
     margin = 24.0
-    half = min(width, height) / 2.0 - margin
-    cx, cy = width / 2.0, height / 2.0
+    half = SIZE / 2.0 - margin
+    cx = cy = SIZE / 2.0
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
         f'<circle cx="{cx}" cy="{cy}" r="{half + 12:.1f}" fill="none" '
         'stroke="#888" stroke-width="1"/>',
     ]

@@ -7,7 +7,7 @@ of the resolution-matrix diagonal R = T G.
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import DataError, NumericalError, ParameterError
 
 DEFAULT_LAMBDA = 0.05
 
@@ -46,6 +46,8 @@ def sloreta_operator(lf, lam=DEFAULT_LAMBDA):
             raise ParameterError(
                 f"fragment has {X.shape[0]} channels, lead field has {G.shape[0]}"
             )
+        if not np.all(np.isfinite(X)):
+            raise DataError("fragment contains non-finite values")
         return (T @ X) / root
 
     return solve

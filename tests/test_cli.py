@@ -240,10 +240,14 @@ def test_eval_fair_checks_each_fragment_before_stacking(
         experiment, tmp_path, capsys, fragments, code, message):
     _, config, doc = experiment
     manifest = _test_split(experiment, tmp_path / "data", 3, fragments)
-    assert main(["eval", "--config", str(config), "--manifest", str(manifest),
-                 "--checkpoint", str(Path(doc["paths"]["workdir"]) / "best"),
-                 "--out", str(tmp_path / "e")]) == code
+    argv = ["eval", "--config", str(config), "--manifest", str(manifest),
+            "--out", str(tmp_path / "e")]
+    assert main(argv + ["--checkpoint",
+                        str(Path(doc["paths"]["workdir"]) / "best")]) == code
     assert message in capsys.readouterr().err
+    if code == 3:   # a non-finite fragment is bad input to sLORETA too
+        assert main(argv + ["--solver", "sloreta"]) == code
+        assert message in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2_on_every_call():

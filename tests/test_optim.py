@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from esikit.errors import FormatError, ParameterError
-from esikit.optim import AdamState, adam_step, load_adam_state, save_adam_state
+from esikit.model import FairConfig, init_params, load_checkpoint, save_checkpoint
+from esikit.optim import AdamState, adam_step
+
+# the Adam state is saved and loaded as part of a checkpoint of this config
+CFG = FairConfig(n_channels=4, n_regions=8, n_timepoints=32, patch_len=8,
+                 overlap=4, attention_dim=4, mlp_hidden=8)
 
 
 def test_zero_gradient_no_decay_leaves_params_unchanged():
@@ -58,22 +63,26 @@ def test_shape_mismatch_raises():
 
 def test_state_round_trip(tmp_path):
     state = AdamState(lr=5e-4, weight_decay=1e-6)
-    p = {"w": np.ones((2, 3)), "b": np.zeros(3)}
+    p = init_params(CFG, seed=0)
     for i in range(3):
-        adam_step(state, p, {"w": np.full((2, 3), 0.1 * i), "b": np.ones(3)})
-    save_adam_state(state, tmp_path)
-    back = load_adam_state(tmp_path)
+        adam_step(state, p, {k: np.full(v.shape, 0.1 * i) for k, v in p.items()})
+    save_checkpoint(tmp_path, p, CFG, state)
+    back = load_checkpoint(tmp_path)[3]
     assert back.step == 3
     assert back.lr == 5e-4
     assert back.weight_decay == 1e-6
+    assert back.m.keys() == back.v.keys() == state.m.keys()
     for k in state.m:
         np.testing.assert_allclose(back.m[k], state.m[k], atol=1e-7)
         np.testing.assert_allclose(back.v[k], state.v[k], atol=1e-7)
 
 
-@pytest.mark.parametrize("m, v", [({"w": np.ones(3)}, {}),
-                                  ({"w": np.ones(3)}, {"b": np.ones(2)})])
+@pytest.mark.parametrize("m, v", [(["head.up_b"], []),
+                                  (["head.up_b"], ["head.res_w"])])
 def test_load_adam_state_needs_one_m_and_one_v_per_param(tmp_path, m, v):
-    save_adam_state(AdamState(step=2, m=m, v=v), tmp_path)
-    with pytest.raises(FormatError, match="one m and one v"):
-        load_adam_state(tmp_path)
+    p = init_params(CFG, seed=0)
+    state = AdamState(step=2, m={k: np.ones_like(p[k]) for k in m},
+                      v={k: np.ones_like(p[k]) for k in v})
+    save_checkpoint(tmp_path, p, CFG, state)
+    with pytest.raises(FormatError, match="adam moments do not fit"):
+        load_checkpoint(tmp_path)
