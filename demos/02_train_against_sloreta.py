@@ -12,9 +12,9 @@ from pathlib import Path
 
 from esikit import metrics as mx
 from esikit.geometry import build_lead_field, build_synthetic_source_space
-from esikit.model import FairConfig, load_checkpoint, solve_split, train
+from esikit.model import FairConfig, fair_solver, load_checkpoint, solve_split, train
 from esikit.nmm import SimulationConfig, generate_dataset, load_manifest
-from esikit.sloreta import sloreta_operator
+from esikit.sloreta import DEFAULT_LAMBDA, sloreta_solver
 
 workdir = Path(tempfile.mkdtemp(prefix="esikit_demo_"))
 print(f"working in {workdir}")
@@ -34,11 +34,13 @@ for epoch, tr, va, lr in result.history:
     print(f"epoch {epoch}: train {tr:.4f}  val {va:.4f}  lr {lr:.1e}")
 
 params, cfg, _, _ = load_checkpoint(result.checkpoint_dir)
-reports = {"learned": [], "sloreta": []}
-sloreta = sloreta_operator(lf)    # kernel and resolution diagonal, built once
-for sample, s_hat in solve_split(entries, params, cfg):   # fragments in pairs
-    reports["learned"].append(mx.evaluate(s_hat, sample, space))
-    reports["sloreta"].append(mx.evaluate(sloreta(sample.X), sample, space))
+solvers = {"learned": fair_solver(params, cfg),        # fragments in pairs
+           "sloreta": sloreta_solver(lf, DEFAULT_LAMBDA)}   # kernel built once
+reports = {name: [] for name in solvers}
+# one read of each test sample; every solver's estimate of it comes with it
+for sample, estimates in solve_split(entries, list(solvers.values()), space.n_regions):
+    for name, s_hat in zip(solvers, estimates):
+        reports[name].append(mx.evaluate(s_hat, sample, space))
 
 print(f"\n{'solver':<10}{'precision':>10}{'recall':>8}{'LE mm':>8}"
       f"{'SD mm':>8}{'nMSE':>8}")

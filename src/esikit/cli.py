@@ -27,9 +27,9 @@ from .geometry import (
     save_lead_field,
     save_source_space,
 )
-from .nmm import SimulationConfig, generate_dataset, iter_split, load_manifest
+from .nmm import SimulationConfig, generate_dataset, load_manifest
 from .plotting import topography_svg
-from .sloreta import DEFAULT_LAMBDA, sloreta_operator
+from .sloreta import DEFAULT_LAMBDA, sloreta_solver
 from .tensorio import load_tensor, save_tensor
 
 EXIT_VALIDATION = 2
@@ -300,22 +300,18 @@ def _check_regions(path, n, space, space_path):
         raise FormatError(f"{path}: {n} regions, but {space_path} has {space.n_regions}")
 
 
-def _eval_solver(name, entries, doc, space, space_path, lf, checkpoint):
-    evaluation = doc["evaluation"]
-    threshold = evaluation.get("threshold", mx.DEFAULT_THRESHOLD)
-    lam = evaluation.get("sloreta_lambda", DEFAULT_LAMBDA)
-    if name == "fair":
-        if not checkpoint:
-            raise ParameterError("fair solver needs --checkpoint")
-        params, cfg, _, _ = fm.load_checkpoint(checkpoint)
-        _check_regions(Path(checkpoint) / "model.json", cfg.n_regions, space, space_path)
-        solved = fm.solve_split(entries, params, cfg)
-    else:
-        solve = sloreta_operator(lf, lam)
-        solved = ((sample, solve(sample.X))
-                  for sample in iter_split(entries, "test", space.n_regions))
-    return [mx.evaluate(s_hat, sample, space, threshold)
-            for sample, s_hat in solved]
+def _load_fair(checkpoint, space, space_path):
+    params, cfg, _, _ = fm.load_checkpoint(checkpoint)
+    _check_regions(Path(checkpoint) / "model.json", cfg.n_regions, space, space_path)
+    return params, cfg
+
+
+def _solver(name, doc, space, space_path, lf, checkpoint):
+    if name == "sloreta":
+        return sloreta_solver(lf, doc["evaluation"].get("sloreta_lambda", DEFAULT_LAMBDA))
+    if not checkpoint:
+        raise ParameterError("fair solver needs --checkpoint")
+    return fm.fair_solver(*_load_fair(checkpoint, space, space_path))
 
 
 def cmd_eval(doc, manifest_path, out, solvers, checkpoint):
@@ -327,17 +323,17 @@ def cmd_eval(doc, manifest_path, out, solvers, checkpoint):
     lf_path = manifest_path.parent / "leadfield.esit"
     space, lf = load_source_space(space_path), load_lead_field(lf_path)
     _check_regions(lf_path, lf.matrix.shape[1], space, space_path)
-    summaries = {}
-    paths = []
-    for name in solvers:
-        reports = _eval_solver(name, entries, doc, space, space_path, lf, checkpoint)
-        csv_path = out_dir / f"eval_{name}.csv"
-        mx.write_report_csv(reports, csv_path)
-        summaries[name] = mx.aggregate(reports)
-        paths.append(csv_path)
-    summary_path = out_dir / "eval_summary.json"
-    mx.write_summary_json(summaries, summary_path)
-    paths.append(summary_path)
+    built = [_solver(name, doc, space, space_path, lf, checkpoint) for name in solvers]
+    threshold = doc["evaluation"].get("threshold", mx.DEFAULT_THRESHOLD)
+    reports = {name: [] for name in solvers}
+    for sample, estimates in fm.solve_split(entries, built, space.n_regions):
+        for name, s_hat in zip(solvers, estimates):
+            reports[name].append(mx.evaluate(s_hat, sample, space, threshold))
+    paths = [out_dir / f"eval_{name}.csv" for name in reports] + [out_dir / "eval_summary.json"]
+    for path, solver_reports in zip(paths, reports.values()):
+        mx.write_report_csv(solver_reports, path)
+    summaries = {name: mx.aggregate(r) for name, r in reports.items()}
+    mx.write_summary_json(summaries, paths[-1])
     for name, summary in summaries.items():
         le = summary["le_mm"]["mean"]
         print(f"{name}: precision {summary['precision']['mean']:.2f}% "
@@ -352,10 +348,9 @@ def cmd_localize(doc, checkpoint, fragment_path, out):
     if not checkpoint:
         raise ParameterError("localize needs --checkpoint")
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, cfg, _, _ = fm.load_checkpoint(checkpoint)
     space_path = Path(doc["paths"]["workdir"]) / "space.json"
     space = load_source_space(space_path)
-    _check_regions(Path(checkpoint) / "model.json", cfg.n_regions, space, space_path)
+    params, cfg = _load_fair(checkpoint, space, space_path)
     fragment = load_tensor(fragment_path)
     fm.check_fragment(fragment, cfg)
     s_hat = fm.forward(fragment, params, cfg).data
@@ -400,13 +395,12 @@ def main(argv=None):
     try:
         doc = load_config(args.config, seed_override=args.seed)
         workdir = Path(doc["paths"]["workdir"])
+        manifest = getattr(args, "manifest", None) or workdir / "manifest.json"
         if args.command == "simulate":
             cmd_simulate(doc, args.out)
         elif args.command == "train":
-            manifest = args.manifest or workdir / "manifest.json"
             cmd_train(doc, manifest, args.out, args.checkpoint)
         elif args.command == "eval":
-            manifest = args.manifest or workdir / "manifest.json"
             solvers = ["fair", "sloreta"] if args.solver == "both" else [args.solver]
             cmd_eval(doc, manifest, args.out, solvers, args.checkpoint)
         elif args.command == "localize":

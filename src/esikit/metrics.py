@@ -129,8 +129,7 @@ def evaluate(s_hat, sample, space, threshold=DEFAULT_THRESHOLD):
 def aggregate(reports):
     """Mean/std/n per metric; undefined LE/SD excluded with a count."""
     summary = {}
-    fields = ["precision", "recall", "le_mm", "sd_mm", "nmse"]
-    for name in fields:
+    for name in ["precision", "recall", "le_mm", "sd_mm", "nmse"]:
         vals = [getattr(r, name) for r in reports if getattr(r, name) is not None]
         summary[name] = {
             "mean": float(np.mean(vals)) if vals else None,

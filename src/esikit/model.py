@@ -269,21 +269,11 @@ def fair_block(grid, params, cfg, block_idx=0, trace=None):
     p_s = spectral_refine(grid, cfg.tau, cfg.spectral_reweight) \
         if cfg.use_spectral else None
     p_t = temporal_refine(grid, cfg.tau) if cfg.use_temporal else None
-    if p_s is not None and p_t is not None:
-        p_l = fuse(p_s, p_t, cfg.alpha)
-    elif p_s is not None:
-        p_l = p_s
-    elif p_t is not None:
-        p_l = p_t
-    else:
-        p_l = grid
+    p_l = (fuse(p_s, p_t, cfg.alpha) if p_s is not None and p_t is not None
+           else next((p for p in (p_s, p_t) if p is not None), grid))
     if trace is not None:
-        trace.P = grid.data.copy()
-        if p_s is not None:
-            trace.P_S = p_s.data.copy()
-        if p_t is not None:
-            trace.P_T = p_t.data.copy()
-        trace.P_L = p_l.data.copy()
+        trace.P, trace.P_L = grid.data.copy(), p_l.data.copy()
+        trace.P_S, trace.P_T = (None if p is None else p.data.copy() for p in (p_s, p_t))
     out = patch_refine(p_l, params, cfg, prefix, trace) if cfg.use_patch else p_l
     if trace is not None:
         trace.P_O = out.data.copy()
@@ -404,25 +394,34 @@ def forward(X, params, cfg, return_trace=False):
 SOLVE_BATCH = 2
 
 
-def solve_split(entries, params, cfg):
-    """Yield (sample, estimate) for every sample of a manifest's test split,
-    in manifest order, forwarding SOLVE_BATCH fragments at a time.
+def fair_solver(params, cfg):
+    """The learned solver as :func:`solve_split` takes it: a batch of checked
+    fragments is forwarded as one stack (see :data:`SOLVE_BATCH`)."""
+    return (functools.partial(check_fragment, cfg=cfg),
+            lambda xs: forward(np.stack(xs), params, cfg).data)
 
-    Each estimate has the bits of ``forward(sample.X, params, cfg).data``.
-    Every fragment of a batch is checked, in order, before it is stacked,
-    so a wrong shape or a non-finite value raises as a lone forward would.
+
+def solve_split(entries, solvers, n_regions):
+    """Yield (sample, estimates) for every sample of a manifest's test split,
+    in manifest order; ``estimates[j]`` is ``solvers[j]``'s estimate of it.
+
+    A solver is a ``(check, solve)`` pair: ``check(x)`` raises its error for
+    a fragment it cannot take; ``solve(xs)`` maps a list of checked fragments
+    to their estimates. Each sample is read once, and its S and every check,
+    in solver order, pass before the next is read; solves take SOLVE_BATCH.
     """
-    samples = _checked_split(entries, "test", cfg)
+    samples = _checked_split(entries, "test", n_regions, [c for c, _ in solvers])
     while batch := list(itertools.islice(samples, SOLVE_BATCH)):
-        s_hat = forward(np.stack([sample.X for sample in batch]), params, cfg).data
-        yield from zip(batch, s_hat)
+        xs = [sample.X for sample in batch]
+        yield from zip(batch, zip(*(solve(xs) for _, solve in solvers)))
 
 
-def _checked_split(entries, split, cfg):
+def _checked_split(entries, split, n_regions, checks):
     """Yield a split's samples in manifest order, each checked as it loads:
-    its S for ``cfg.n_regions`` rows, its X by :func:`check_fragment`."""
-    for sample in iter_split(entries, split, cfg.n_regions):
-        check_fragment(sample.X, cfg)
+    its S for ``n_regions`` rows, then its X by each of ``checks``."""
+    for sample in iter_split(entries, split, n_regions):
+        for check in checks:
+            check(sample.X)
         yield sample
 
 
@@ -513,7 +512,9 @@ class TrainResult:
 
 
 def _load_split(entries, split, cfg):
-    xs, ss = zip(*((s.X, s.S) for s in _checked_split(entries, split, cfg)))
+    samples = _checked_split(entries, split, cfg.n_regions,
+                             [functools.partial(check_fragment, cfg=cfg)])
+    xs, ss = zip(*((s.X, s.S) for s in samples))
     return np.stack(xs), np.stack(ss)
 
 
@@ -521,13 +522,11 @@ EVAL_BATCH = 32   # fragments per forward of the validation loss
 
 
 def evaluate_loss(xs, ss, params, cfg):
-    total, count = 0.0, 0
+    total = 0.0
     for i in range(0, len(xs), EVAL_BATCH):
         xb, sb = xs[i:i + EVAL_BATCH], ss[i:i + EVAL_BATCH]
-        lv = loss(forward(xb, params, cfg), sb)
-        total += float(lv.data) * len(xb)
-        count += len(xb)
-    return total / count
+        total += float(loss(forward(xb, params, cfg), sb).data) * len(xb)
+    return total / len(xs)
 
 
 def train(manifest_entries, cfg, epochs=30, *, seed, out_dir,
@@ -555,7 +554,7 @@ def train(manifest_entries, cfg, epochs=30, *, seed, out_dir,
             writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
         for epoch in range(start_epoch + 1, start_epoch + epochs + 1):
             order = rng.permutation(len(xs_train))
-            epoch_loss, seen = 0.0, 0
+            epoch_loss = 0.0
             for i in range(0, len(order), cfg.batch_size):
                 batch = order[i:i + cfg.batch_size]
                 pvars = _as_param_vars(params)
@@ -567,8 +566,7 @@ def train(manifest_entries, cfg, epochs=30, *, seed, out_dir,
                          for k, v in pvars.items()}
                 adam_step(adam_state, params, grads)
                 epoch_loss += float(lv.data) * len(batch)
-                seen += len(batch)
-            train_loss = epoch_loss / seen
+            train_loss = epoch_loss / len(order)
             val_loss = evaluate_loss(xs_val, ss_val, params, cfg)
             if not np.isfinite(val_loss):
                 raise DivergenceError(f"non-finite validation loss at epoch {epoch}")

@@ -390,13 +390,11 @@ def iter_split(entries, split, n_regions):
     """Yield the samples of one split in manifest order, loading each only
     when it is reached; raise DataError if the split has none, and a
     FormatError naming a sample whose S does not have ``n_regions`` rows."""
-    found = False
-    for e in entries:
-        if e["split"] == split:
-            found = True
-            sample = load_sample(e["path"])
-            if len(sample.S) != n_regions:
-                raise FormatError(f"{e['path']}: {len(sample.S)} regions, not {n_regions}")
-            yield sample
-    if not found:
+    paths = [e["path"] for e in entries if e["split"] == split]
+    if not paths:
         raise DataError(f"manifest has no samples in split '{split}'")
+    for path in paths:
+        sample = load_sample(path)
+        if len(sample.S) != n_regions:
+            raise FormatError(f"{path}: {len(sample.S)} regions, not {n_regions}")
+        yield sample

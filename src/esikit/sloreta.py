@@ -26,12 +26,21 @@ def minimum_norm_kernel(lf, lam=DEFAULT_LAMBDA):
     return G.T @ inv
 
 
+def check_fragment(X, lf):
+    """ParameterError unless X has ``lf``'s channels, then DataError if non-finite."""
+    if X.shape[0] != len(lf.matrix):
+        raise ParameterError(
+            f"fragment has {X.shape[0]} channels, lead field has {len(lf.matrix)}")
+    if not np.all(np.isfinite(X)):
+        raise DataError("fragment contains non-finite values")
+
+
 def sloreta_operator(lf, lam=DEFAULT_LAMBDA):
     """The standardized solve for one lead field, built once.
 
-    Returns ``solve(X)`` mapping a scalp fragment X (n_c x n_t) to its
-    standardized source estimate; the kernel and the resolution diagonal
-    depend only on ``lf`` and ``lam``.
+    Returns ``solve(X)`` mapping a scalp fragment X (n_c x n_t), checked by
+    :func:`check_fragment`, to its standardized source estimate; the kernel
+    and the resolution diagonal depend only on ``lf`` and ``lam``.
     """
     G = np.asarray(lf.matrix, dtype=np.float64)
     T = minimum_norm_kernel(lf, lam)
@@ -42,15 +51,17 @@ def sloreta_operator(lf, lam=DEFAULT_LAMBDA):
 
     def solve(X):
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[0] != G.shape[0]:
-            raise ParameterError(
-                f"fragment has {X.shape[0]} channels, lead field has {G.shape[0]}"
-            )
-        if not np.all(np.isfinite(X)):
-            raise DataError("fragment contains non-finite values")
+        check_fragment(X, lf)
         return (T @ X) / root
 
     return solve
+
+
+def sloreta_solver(lf, lam):
+    """sLORETA as :func:`esikit.model.solve_split` takes it: each fragment is
+    checked, then solved on its own by :func:`sloreta_operator`."""
+    solve = sloreta_operator(lf, lam)
+    return (lambda X: check_fragment(X, lf)), (lambda xs: [solve(X) for X in xs])
 
 
 def sloreta_solve(lf, X, lam=DEFAULT_LAMBDA):

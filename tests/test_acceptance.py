@@ -25,7 +25,7 @@ from esikit.nmm import (
     project_forward,
     simulate_jansen_rit,
 )
-from esikit.sloreta import sloreta_operator, sloreta_solve
+from esikit.sloreta import DEFAULT_LAMBDA, sloreta_solve, sloreta_solver
 
 SEED = 7
 RNG = np.random.Generator(np.random.PCG64(1234))
@@ -276,11 +276,13 @@ def toy_experiment(tmp_path_factory):
     cfg = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128, lr=1e-3)
     result = fm.train(entries, cfg, epochs=30, seed=SEED, out_dir=root / "train")
     params, cfg2, _, _ = fm.load_checkpoint(root / "train" / "best")
-    reports = {"fair": [], "sloreta": []}
-    sloreta = sloreta_operator(lf)
-    for sample, s_hat in fm.solve_split(entries, params, cfg2):
-        reports["fair"].append(mx.evaluate(s_hat, sample, space))
-        reports["sloreta"].append(mx.evaluate(sloreta(sample.X), sample, space))
+    solvers = {"fair": fm.fair_solver(params, cfg2),
+               "sloreta": sloreta_solver(lf, DEFAULT_LAMBDA)}
+    reports = {name: [] for name in solvers}
+    for sample, estimates in fm.solve_split(entries, list(solvers.values()),
+                                            space.n_regions):
+        for name, s_hat in zip(solvers, estimates):
+            reports[name].append(mx.evaluate(s_hat, sample, space))
     return {
         "root": root, "space": space, "lf": lf, "sim": sim, "cfg": cfg,
         "entries": entries, "result": result,
@@ -328,8 +330,8 @@ def test_criterion_8_ablation_harness(report, toy_experiment, capfd):
         res = fm.train(t["entries"], cfg, epochs=3, seed=SEED, out_dir=out)
         params, cfg2, _, _ = fm.load_checkpoint(res.checkpoint_dir)
         agg = mx.aggregate([
-            mx.evaluate(s_hat, sample, t["space"])
-            for sample, s_hat in fm.solve_split(t["entries"], params, cfg2)])
+            mx.evaluate(s_hat, sample, t["space"]) for sample, (s_hat,) in
+            fm.solve_split(t["entries"], [fm.fair_solver(params, cfg2)], cfg2.n_regions)])
         rows.append((name, agg["le_mm"]["mean"], agg["nmse"]["mean"],
                      res.best_val))
     with capfd.disabled():

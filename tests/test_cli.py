@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from esikit import model as fm
-from esikit import cli, sloreta
+from esikit import cli, nmm, sloreta
 from esikit.cli import CONFIG_SCHEMA, load_config, main
 from esikit.errors import ConfigError
 from esikit.geometry import (build_lead_field, build_synthetic_source_space,
@@ -211,6 +211,32 @@ def _test_split(experiment, out_dir, n, fragments=None):
     return manifest
 
 
+def test_eval_both_reads_each_sample_once_and_writes_single_runs_bytes(
+        experiment, tmp_path, monkeypatch, capsys):
+    _, config, doc = experiment
+    manifest = str(_test_split(experiment, tmp_path / "data", 5))
+    reads = []
+    load_sample = nmm.load_sample
+    monkeypatch.setattr(nmm, "load_sample",
+                        lambda path: reads.append(path) or load_sample(path))
+    runs = {}
+    for solver in ("both", "fair", "sloreta"):
+        out = tmp_path / solver
+        reads.clear()
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--manifest", manifest,
+                     "--solver", solver, "--out", str(out), "--checkpoint",
+                     str(Path(doc["paths"]["workdir"]) / "best")]) == 0
+        runs[solver] = (len(reads), capsys.readouterr().out,
+                        json.loads((out / "eval_summary.json").read_text()))
+    assert [runs[solver][0] for solver in runs] == [5, 5, 5]
+    assert runs["both"][1] == runs["fair"][1] + runs["sloreta"][1]
+    for name in ("fair", "sloreta"):
+        assert ((tmp_path / "both" / f"eval_{name}.csv").read_bytes()
+                == (tmp_path / name / f"eval_{name}.csv").read_bytes())
+        assert runs["both"][2][name] == runs[name][2][name]
+
+
 def test_eval_fair_in_pairs_writes_per_sample_bytes(experiment, tmp_path,
                                                     monkeypatch):
     # an odd-sized split, so the last forward holds one fragment
@@ -242,12 +268,16 @@ def test_eval_fair_checks_each_fragment_before_stacking(
     manifest = _test_split(experiment, tmp_path / "data", 3, fragments)
     argv = ["eval", "--config", str(config), "--manifest", str(manifest),
             "--out", str(tmp_path / "e")]
-    assert main(argv + ["--checkpoint",
-                        str(Path(doc["paths"]["workdir"]) / "best")]) == code
-    assert message in capsys.readouterr().err
-    if code == 3:   # a non-finite fragment is bad input to sLORETA too
-        assert main(argv + ["--solver", "sloreta"]) == code
+    checkpoint = ["--checkpoint", str(Path(doc["paths"]["workdir"]) / "best")]
+    # fair's check covers sLORETA's, so with both solvers fair's message wins
+    for solver in ("fair", "both"):
+        assert main(argv + checkpoint + ["--solver", solver]) == code
         assert message in capsys.readouterr().err
+    # sLORETA alone names the channel count against the lead field's; a
+    # non-finite fragment is bad input to it too
+    assert main(argv + ["--solver", "sloreta"]) == code
+    assert (message if code == 3 else "fragment has 5 channels, lead field has 8") \
+        in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2_on_every_call():
@@ -271,7 +301,7 @@ def test_eval_non_finite_estimate_is_numerical_error(experiment, tmp_path,
     def nan_operator(lf, lam):
         return lambda X: np.full((lf.matrix.shape[1], X.shape[1]), np.nan)
 
-    monkeypatch.setattr("esikit.cli.sloreta_operator", nan_operator)
+    monkeypatch.setattr("esikit.sloreta.sloreta_operator", nan_operator)
     assert main(["eval", "--config", str(config), "--solver", "sloreta",
                  "--out", str(tmp_path / "e")]) == 4
 
