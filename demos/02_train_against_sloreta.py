@@ -12,7 +12,7 @@ from pathlib import Path
 
 from esikit import metrics as mx
 from esikit.geometry import build_lead_field, build_synthetic_source_space
-from esikit.model import FairConfig, fair_solver, load_checkpoint, solve_split, train
+from esikit.model import FairConfig, fair_solver, load_model, solve_split, train
 from esikit.nmm import SimulationConfig, generate_dataset, load_manifest
 from esikit.sloreta import DEFAULT_LAMBDA, sloreta_solver
 
@@ -33,7 +33,7 @@ result = train(entries, cfg, epochs=5, seed=0, out_dir=workdir / "train")
 for epoch, tr, va, lr in result.history:
     print(f"epoch {epoch}: train {tr:.4f}  val {va:.4f}  lr {lr:.1e}")
 
-params, cfg, _, _ = load_checkpoint(result.checkpoint_dir)
+params, cfg, _ = load_model(result.checkpoint_dir)
 solvers = {"learned": fair_solver(params, cfg),        # fragments in pairs
            "sloreta": sloreta_solver(lf, DEFAULT_LAMBDA)}   # kernel built once
 reports = {name: [] for name in solvers}

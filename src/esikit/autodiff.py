@@ -432,11 +432,9 @@ def transpose_conv2d(y, kernel, stride=1, padding=0):
     out = _correlate_adjoint(y.data, kernel.data, x_shape, stride, padding)
 
     def vjp(g):
-        if not y.tracked:
-            return None, _kernel_grad(y.data, _im2col(g, kh, kw, stride, padding),
-                                      kernel.shape)
         gy, gcols = _correlate(g, kernel.data, stride, padding)
-        return gy, _kernel_grad(y.data, gcols, kernel.shape) if kernel.tracked else None
+        return (gy if y.tracked else None,
+                _kernel_grad(y.data, gcols, kernel.shape) if kernel.tracked else None)
 
     return Var(out, (y, kernel), vjp)
 

@@ -301,7 +301,7 @@ def _check_regions(path, n, space, space_path):
 
 
 def _load_fair(checkpoint, space, space_path):
-    params, cfg, _, _ = fm.load_checkpoint(checkpoint)
+    params, cfg, _ = fm.load_model(checkpoint)
     _check_regions(Path(checkpoint) / "model.json", cfg.n_regions, space, space_path)
     return params, cfg
 

@@ -8,7 +8,8 @@ key-patch selection, self-attention over the key patch, broadcast of the
 attention summary, Conv/TransposeConv blocks). The head merges patches,
 upsamples channels to the source space with a transposed convolution, adds
 an MLP projection and a learned residual projection of the input, and runs
-a BiGRU over time.
+a BiGRU over time. :func:`forward` returns the estimate alone; the views
+are public, so a block's intermediate grids are had by calling them.
 
 Each fragment's patch grid is (b, n_c, n_p, l). The spectral and temporal
 views work along its l samples; the patch-wise view's convs, which take
@@ -90,23 +91,6 @@ class FairConfig:
     @property
     def upsample_kernel(self):
         return self.upsample_stride + 2
-
-
-@dataclass
-class RefinementTrace:
-    """Intermediate states of one refinement block, kept for inspection.
-
-    ``P`` (the block's input), ``P_S``, ``P_T``, ``P_L`` (the spectral,
-    temporal and fused views) and ``P_O`` (the output) are (b, n_c, n_p, l);
-    ``key_indices`` is (b, n_c); ``attention_out`` is (b, n_c, l, d).
-    """
-    P: np.ndarray = None
-    P_S: np.ndarray = None
-    P_T: np.ndarray = None
-    P_L: np.ndarray = None
-    key_indices: np.ndarray = None
-    attention_out: np.ndarray = None
-    P_O: np.ndarray = None
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +185,7 @@ def select_key_patch(grid):
     return np.argmax(energy, axis=-1)
 
 
-def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
+def patch_refine(grid, params, cfg, prefix="block0."):
     """Key-patch self-attention summary broadcast onto every patch of its
     channel, then Conv2D-ELU-LayerNorm and TransposeConv2D-ELU-LayerNorm
     over the channel x patch grid, restoring the input feature depth.
@@ -237,9 +221,6 @@ def patch_refine(grid, params, cfg, prefix="block0.", trace=None):
     h2 = ad.add(h2, params[prefix + "conv.b2"])
     h2 = ad.layer_norm(ad.elu(h2), params[prefix + "conv.ln2_gain"],
                        params[prefix + "conv.ln2_bias"])
-    if trace is not None:
-        trace.key_indices = key_idx.copy()
-        trace.attention_out = att.data.copy()
     return h2
 
 
@@ -263,21 +244,14 @@ def _summary_conv(summary, kernel, n_p):
     return ad.matmul(edge, terms)                               # (b, h, n_p, c_out)
 
 
-def fair_block(grid, params, cfg, block_idx=0, trace=None):
+def fair_block(grid, params, cfg, block_idx=0):
     """One refinement pass on a Var grid; shape-preserving, so blocks stack."""
-    prefix = f"block{block_idx}."
     p_s = spectral_refine(grid, cfg.tau, cfg.spectral_reweight) \
         if cfg.use_spectral else None
     p_t = temporal_refine(grid, cfg.tau) if cfg.use_temporal else None
     p_l = (fuse(p_s, p_t, cfg.alpha) if p_s is not None and p_t is not None
            else next((p for p in (p_s, p_t) if p is not None), grid))
-    if trace is not None:
-        trace.P, trace.P_L = grid.data.copy(), p_l.data.copy()
-        trace.P_S, trace.P_T = (None if p is None else p.data.copy() for p in (p_s, p_t))
-    out = patch_refine(p_l, params, cfg, prefix, trace) if cfg.use_patch else p_l
-    if trace is not None:
-        trace.P_O = out.data.copy()
-    return out
+    return patch_refine(p_l, params, cfg, f"block{block_idx}.") if cfg.use_patch else p_l
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +307,7 @@ def _keep_freed_pages():
         libc.mallopt(param, value)
 
 
-def forward(X, params, cfg, return_trace=False):
+def forward(X, params, cfg):
     """Scalp fragment(s) -> source estimate(s).
 
     X is an array (n_channels, n_timepoints) or a (batch, ...) stack;
@@ -357,10 +331,8 @@ def forward(X, params, cfg, return_trace=False):
 
     grid = extract_patches(xn, cfg.patch_len, cfg.overlap)
     g = ad.as_var(grid.patches)
-    trace = RefinementTrace() if return_trace else None
     for n in range(cfg.n_blocks):
-        g = fair_block(g, params, cfg, block_idx=n,
-                       trace=trace if n == cfg.n_blocks - 1 else None)
+        g = fair_block(g, params, cfg, block_idx=n)
     merged = merge_patches(replace(grid, patches=g))         # (b, n_c, n_t)
 
     # transposed convolution upsamples the channel axis n_c -> n_s
@@ -382,8 +354,6 @@ def forward(X, params, cfg, return_trace=False):
     s_hat = ad.mul(s_hat, scales[:, None, None])
     if single:
         s_hat = ad.reshape(s_hat, (cfg.n_regions, n_t))
-    if return_trace:
-        return s_hat, trace
     return s_hat
 
 
@@ -449,7 +419,8 @@ _ADAM_SCALARS = ("lr", "beta1", "beta2", "eps", "weight_decay")
 def save_checkpoint(out_dir, params, cfg, adam_state=None, epoch=None):
     """Write ``params/``, ``model.json`` (config and epoch) and, given an Adam
     state, its ``m/<param>``, ``v/<param>`` tensors in ``adam_moments/`` and
-    its scalars in ``adam_state.json``; only :func:`load_checkpoint` reads them."""
+    its scalars in ``adam_state.json``; :func:`load_model` reads the first two,
+    :func:`load_checkpoint` all four."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_tensor_dir(params, out_dir / "params")
@@ -463,10 +434,9 @@ def save_checkpoint(out_dir, params, cfg, adam_state=None, epoch=None):
         (out_dir / "adam_state.json").write_text(json.dumps(scalars, indent=2))
 
 
-def load_checkpoint(in_dir):
-    """(params, config, epoch, Adam state or None) from :func:`save_checkpoint`'s
-    directory. FormatError unless the params have the config's shapes and
-    ``m`` and ``v`` hold moments of the same params, each of its param's shape."""
+def load_model(in_dir):
+    """(params, config, epoch) from ``params/`` and ``model.json`` of
+    :func:`save_checkpoint`'s directory; FormatError unless the shapes fit."""
     in_dir = Path(in_dir)
     cfg, shapes, epoch = read_json(in_dir / "model.json", lambda meta: (
         cfg := FairConfig(**{k: v for k, v in dict(meta["config"]).items()
@@ -477,6 +447,14 @@ def load_checkpoint(in_dir):
               for k, v in load_tensor_dir(in_dir / "params").items()}
     if {k: v.shape for k, v in params.items()} != shapes:
         raise FormatError(f"{in_dir}: params do not fit the checkpoint's config")
+    return params, cfg, epoch
+
+
+def load_checkpoint(in_dir):
+    """:func:`load_model`'s three and the Adam state or None; FormatError
+    unless ``m`` and ``v`` hold moments of the same params, in their shapes."""
+    in_dir = Path(in_dir)
+    params, cfg, epoch = load_model(in_dir)
     if not (in_dir / "adam_state.json").exists():
         return params, cfg, epoch, None
     adam_state = read_json(in_dir / "adam_state.json", lambda doc: AdamState(
@@ -484,7 +462,7 @@ def load_checkpoint(in_dir):
     moments = load_tensor_dir(in_dir / "adam_moments")
     adam_state.m, adam_state.v = ({k[2:]: v.astype(np.float64) for k, v in moments.items()
                                    if k[:2] == kind} for kind in ("m/", "v/"))
-    fitted = {k: shapes[k] for k in adam_state.m if k in shapes}
+    fitted = {k: params[k].shape for k in adam_state.m if k in params}
     if ({k: v.shape for k, v in moments.items()}
             != {f"{kind}/{k}": shape for kind in "mv" for k, shape in fitted.items()}):
         raise FormatError(f"{in_dir}: adam moments do not fit the checkpoint's params")

@@ -38,9 +38,9 @@ def check_fragment(X, lf):
 def sloreta_operator(lf, lam=DEFAULT_LAMBDA):
     """The standardized solve for one lead field, built once.
 
-    Returns ``solve(X)`` mapping a scalp fragment X (n_c x n_t), checked by
-    :func:`check_fragment`, to its standardized source estimate; the kernel
-    and the resolution diagonal depend only on ``lf`` and ``lam``.
+    Returns ``solve(X)`` mapping a scalp fragment X (n_c x n_t) that
+    :func:`check_fragment` passes to its standardized source estimate; the
+    kernel and the resolution diagonal depend only on ``lf`` and ``lam``.
     """
     G = np.asarray(lf.matrix, dtype=np.float64)
     T = minimum_norm_kernel(lf, lam)
@@ -48,13 +48,7 @@ def sloreta_operator(lf, lam=DEFAULT_LAMBDA):
     if np.any(r_diag <= 0):
         raise NumericalError("resolution matrix has non-positive diagonal")
     root = np.sqrt(r_diag)[:, None]
-
-    def solve(X):
-        X = np.asarray(X, dtype=np.float64)
-        check_fragment(X, lf)
-        return (T @ X) / root
-
-    return solve
+    return lambda X: (T @ np.asarray(X, dtype=np.float64)) / root
 
 
 def sloreta_solver(lf, lam):
@@ -66,4 +60,6 @@ def sloreta_solver(lf, lam):
 
 def sloreta_solve(lf, X, lam=DEFAULT_LAMBDA):
     """Standardized source estimate for a scalp fragment X (n_c x n_t)."""
-    return sloreta_operator(lf, lam)(X)
+    solve = sloreta_operator(lf, lam)   # a singular kernel raises before the check
+    check_fragment(X := np.asarray(X, dtype=np.float64), lf)
+    return solve(X)

@@ -325,6 +325,44 @@ def test_eval_sloreta_builds_kernel_once(experiment, tmp_path, monkeypatch):
     assert len(rows) > 2 and len(builds) == 1
 
 
+def test_eval_sloreta_checks_each_fragment_once(experiment, tmp_path, monkeypatch):
+    _, config, _ = experiment
+    manifest = str(_test_split(experiment, tmp_path / "data", 5))
+    checked = []
+    check = sloreta.check_fragment
+    monkeypatch.setattr(sloreta, "check_fragment",
+                        lambda X, lf: checked.append(X.shape) or check(X, lf))
+    assert main(["eval", "--config", str(config), "--manifest", manifest,
+                 "--solver", "sloreta", "--out", str(tmp_path / "e")]) == 0
+    assert len(checked) == 5
+
+
+def test_eval_and_localize_do_not_read_adam_state(experiment, tmp_path, capsys):
+    _, config, doc = experiment
+    run = Path(doc["paths"]["workdir"])
+    frag = tmp_path / "frag.esit"
+    save_tensor(load_sample(load_manifest(run / "manifest.json")[0]["path"]).X, frag)
+    broken = tmp_path / "broken"
+    shutil.copytree(run / "best", broken)
+    state = broken / "adam_state.json"
+    state.write_text(state.read_text()[:20])
+    written = {}
+    for name, checkpoint in (("intact", run / "best"), ("truncated", broken)):
+        out = tmp_path / name
+        assert main(["eval", "--config", str(config), "--solver", "fair",
+                     "--checkpoint", str(checkpoint), "--out", str(out / "eval")]) == 0
+        assert main(["localize", "--config", str(config), "--fragment", str(frag),
+                     "--checkpoint", str(checkpoint), "--out", str(out / "loc")]) == 0
+        written[name] = {p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(written["intact"]) == 4 and written["truncated"] == written["intact"]
+    capsys.readouterr()
+    assert main(["train", "--config", str(config),
+                 "--manifest", str(run / "manifest.json"),
+                 "--checkpoint", str(broken), "--out", str(tmp_path / "resumed")]) == 3
+    assert "adam_state.json" in capsys.readouterr().err
+
+
 def test_localize_outputs(experiment, tmp_path):
     _, config, doc = experiment
     run = Path(doc["paths"]["workdir"])

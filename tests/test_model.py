@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -256,28 +258,38 @@ def test_patch_refine_split_conv_matches_broadcast_plane(n_p, n_blocks):
 
 
 def test_fair_block_ablation_routing():
+    # fair_block is the views' composition: the spectral and temporal views
+    # that are on, fused when both are, then the patch-wise view if it is on
     params = fm.init_params(TOY, seed=0)
-    grid = ad.Var(RNG.standard_normal((1, 4, 7, 8)))
-    for flags in [(True, True, True), (False, True, True), (True, False, True),
-                  (True, True, False), (False, False, False)]:
-        cfg = fm.FairConfig(n_channels=4, n_regions=8, n_timepoints=32,
-                            patch_len=8, overlap=4, attention_dim=4,
-                            mlp_hidden=8, use_spectral=flags[0],
-                            use_temporal=flags[1], use_patch=flags[2])
-        assert fm.fair_block(grid, params, cfg).data.shape == grid.shape
+    grid = ad.Var(RNG.standard_normal((2, 4, 7, 8)))
+    for flags in itertools.product((True, False), repeat=3):
+        cfg = replace(TOY, use_spectral=flags[0], use_temporal=flags[1],
+                      use_patch=flags[2])
+        views = [view for on, view in
+                 ((flags[0], fm.spectral_refine(grid, cfg.tau)),
+                  (flags[1], fm.temporal_refine(grid, cfg.tau))) if on]
+        fused = (fm.fuse(*views, cfg.alpha) if len(views) == 2
+                 else views[0] if views else grid)
+        assert fm.select_key_patch(fused.data).shape == (2, 4)
+        expected = fm.patch_refine(fused, params, cfg) if flags[2] else fused
+        out = fm.fair_block(grid, params, cfg)
+        assert out.data.shape == grid.shape
+        assert np.array_equal(out.data, expected.data), flags
 
 
 # ---------------------------------------------------------------------------
 # forward / loss
 
 
-def test_forward_output_shape_and_trace():
+def test_forward_output_shape():
+    # forward returns the estimate and nothing else, whatever it is called with
+    for fn in (fm.forward, fm.fair_block, fm.patch_refine):
+        assert "trace" not in " ".join(inspect.signature(fn).parameters)
+    assert list(inspect.signature(fm.forward).parameters) == ["X", "params", "cfg"]
     params = fm.init_params(TOY, seed=1)
     X = RNG.standard_normal((4, 32))
-    s_hat, trace = fm.forward(X, params, TOY, return_trace=True)
-    assert s_hat.shape == (8, 32)
-    assert trace.key_indices.shape == (1, 4)
-    assert trace.P_S.shape == trace.P.shape == trace.P_L.shape
+    s_hat = fm.forward(X, params, TOY)
+    assert isinstance(s_hat, ad.Var) and s_hat.shape == (8, 32)
     batched = fm.forward(np.stack([X, X]), params, TOY)
     assert batched.shape == (2, 8, 32)
     np.testing.assert_allclose(batched.data[0], batched.data[1], atol=1e-12)

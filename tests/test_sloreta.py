@@ -112,6 +112,5 @@ def test_operator_rank_deficient_lambda_zero_same_error():
 
 def test_operator_channel_mismatch(system):
     _, lf = system
-    solve = sloreta_operator(lf)
     with pytest.raises(ParameterError, match="7 channels, lead field has 8"):
-        solve(np.zeros((7, 4)))
+        sloreta_solve(lf, np.zeros((7, 4)))
