@@ -16,8 +16,7 @@ t = np.arange(128) / 250.0
 tone = np.sin(2 * np.pi * 10.0 * t)
 X = np.stack([tone, tone + 2.0 * rng.standard_normal(128)])
 
-grid = extract_patches(X, 16, 8)
-P = grid.patches[None]                      # add a batch axis: (1, 2, 15, 16)
+P = extract_patches(X, 16, 8)[None]         # add a batch axis: (1, 2, 15, 16)
 print(f"patch grid: {P.shape} (batch, channels, patches, patch length)")
 
 P_S = spectral_refine(P, tau=0.1).data      # the views return Vars

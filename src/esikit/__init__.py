@@ -20,7 +20,7 @@ from .nmm import (
     project_forward,
     simulate_jansen_rit,
 )
-from .patches import PatchGrid, extract_patches, merge_patches, normalize_fragment
+from .patches import extract_patches, merge_patches, normalize_fragment
 from .model import FairConfig, forward, init_params, loss, train
 from .metrics import MetricReport, evaluate, nmse, precision_recall
 from .sloreta import sloreta_solve
@@ -32,7 +32,7 @@ __all__ = [
     "JansenRitParams", "PairedSample", "SimulationConfig",
     "add_noise", "generate_dataset", "generate_source_activity",
     "project_forward", "simulate_jansen_rit",
-    "PatchGrid", "extract_patches", "merge_patches", "normalize_fragment",
+    "extract_patches", "merge_patches", "normalize_fragment",
     "FairConfig", "forward", "init_params", "loss", "train",
     "MetricReport", "evaluate", "nmse", "precision_recall",
     "sloreta_solve",

@@ -29,7 +29,7 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +185,7 @@ def select_key_patch(grid):
     return np.argmax(energy, axis=-1)
 
 
-def patch_refine(grid, params, cfg, prefix="block0."):
+def patch_refine(grid, params, prefix="block0."):
     """Key-patch self-attention summary broadcast onto every patch of its
     channel, then Conv2D-ELU-LayerNorm and TransposeConv2D-ELU-LayerNorm
     over the channel x patch grid, restoring the input feature depth.
@@ -251,7 +251,7 @@ def fair_block(grid, params, cfg, block_idx=0):
     p_t = temporal_refine(grid, cfg.tau) if cfg.use_temporal else None
     p_l = (fuse(p_s, p_t, cfg.alpha) if p_s is not None and p_t is not None
            else next((p for p in (p_s, p_t) if p is not None), grid))
-    return patch_refine(p_l, params, cfg, f"block{block_idx}.") if cfg.use_patch else p_l
+    return patch_refine(p_l, params, f"block{block_idx}.") if cfg.use_patch else p_l
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +260,17 @@ def fair_block(grid, params, cfg, block_idx=0):
 
 def _as_param_vars(params):
     """Tracked leaves for training: ``backward`` fills each one's ``.grad``."""
-    return {k: v if isinstance(v, ad.Var) else ad.Var(v) for k, v in params.items()}
-
-
-def _check_fragment_shape(shape, cfg):
-    if shape != (cfg.n_channels, cfg.n_timepoints):
-        raise ParameterError(
-            f"fragment is {'x'.join(map(str, shape))}, config expects "
-            f"{cfg.n_channels}x{cfg.n_timepoints}"
-        )
+    return {k: ad.Var(v) for k, v in params.items()}
 
 
 def check_fragment(x, cfg):
     """Raise ParameterError unless fragment ``x`` is (n_channels,
     n_timepoints), then DataError if it holds a non-finite value."""
-    _check_fragment_shape(x.shape, cfg)
+    if x.shape != (cfg.n_channels, cfg.n_timepoints):
+        raise ParameterError(
+            f"fragment is {'x'.join(map(str, x.shape))}, config expects "
+            f"{cfg.n_channels}x{cfg.n_timepoints}"
+        )
     if not np.all(np.isfinite(x)):
         raise DataError("fragment contains non-finite values")
 
@@ -322,18 +318,16 @@ def forward(X, params, cfg):
     single = x_data.ndim == 2
     if single:
         x_data = x_data[None]
-    # every fragment of a stack has one shape; normalize_fragment raises the
-    # DataError of a non-finite value
-    _check_fragment_shape(x_data.shape[1:] if x_data.ndim == 3 else x_data.shape,
-                          cfg)
+    # any shape but a stack's is checked whole, so the error names it
+    for x in x_data if x_data.ndim == 3 else [x_data]:
+        check_fragment(x, cfg)
     bsz, n_c, n_t = x_data.shape
     xn, scales = normalize_fragment(x_data)
 
-    grid = extract_patches(xn, cfg.patch_len, cfg.overlap)
-    g = ad.as_var(grid.patches)
+    g = ad.as_var(extract_patches(xn, cfg.patch_len, cfg.overlap))
     for n in range(cfg.n_blocks):
         g = fair_block(g, params, cfg, block_idx=n)
-    merged = merge_patches(replace(grid, patches=g))         # (b, n_c, n_t)
+    merged = merge_patches(g, cfg.overlap, n_t)              # (b, n_c, n_t)
 
     # transposed convolution upsamples the channel axis n_c -> n_s
     s = cfg.upsample_stride

@@ -1,24 +1,14 @@
 """Channel-independent, temporally overlapped patching of scalp fragments.
 
-A fragment (..., n_channels, n_timepoints) is zero-padded at the tail to
-the next full window and cut into length-l windows with a fixed stride;
-merge is exact overlap-add divided by per-sample coverage.
+A fragment (..., n_channels, n_timepoints) is zero-padded at the tail and
+cut into an array of windows (..., n_channels, n_patches, l) at stride
+l - overlap; merge is exact overlap-add divided by per-sample coverage.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, FormatError, ParameterError
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    patches: np.ndarray        # (..., n_channels, n_patches, l), or a Var
-    l: int
-    stride: int
-    n_timepoints_original: int
+from .errors import DataError, ParameterError
 
 
 def padded_length(n_timepoints, l, stride):
@@ -30,7 +20,7 @@ def padded_length(n_timepoints, l, stride):
 
 
 def extract_patches(x, l, overlap):
-    """Cut (..., n_channels, n_timepoints) into an overlapping PatchGrid."""
+    """Cut (..., n_c, n_t) into overlapping windows (..., n_c, n_patches, l)."""
     if l < 2:
         raise ParameterError(f"patch length must be >= 2, got {l}")
     if not (0 <= overlap < l):
@@ -42,20 +32,18 @@ def extract_patches(x, l, overlap):
     if n_pad > n_t:
         pad = [(0, 0)] * (x.ndim - 1) + [(0, n_pad - n_t)]
         x = np.pad(x, pad)
-    patches = ad.gather_windows(x, (n_pad - l) // stride + 1, l, stride)
-    return PatchGrid(patches=patches, l=l, stride=stride, n_timepoints_original=n_t)
+    return ad.gather_windows(x, (n_pad - l) // stride + 1, l, stride)
 
 
-def merge_patches(grid):
-    """Overlap-add ``grid.patches`` (an array or a Var) and divide by the
-    per-sample coverage, as a Var: the exact inverse of
-    :func:`extract_patches` for unmodified patches."""
-    p = ad.as_var(grid.patches)
-    if p.shape[-1] != grid.l:
-        raise FormatError("PatchGrid metadata disagrees with patch array")
-    cov = coverage_counts(p.shape[-2], grid.l, grid.stride)
-    out = ad.mul(ad.overlap_add(p, grid.stride, cov.size), 1.0 / cov)
-    return out[..., :grid.n_timepoints_original]
+def merge_patches(patches, overlap, n_timepoints):
+    """Overlap-add ``patches`` (an array or a Var), divide by the per-sample
+    coverage and keep the first ``n_timepoints`` samples, as a Var: the
+    exact inverse of :func:`extract_patches` for unmodified patches."""
+    p = ad.as_var(patches)
+    l = p.shape[-1]
+    cov = coverage_counts(p.shape[-2], l, l - overlap)
+    out = ad.mul(ad.overlap_add(p, l - overlap, cov.size), 1.0 / cov)
+    return out[..., :n_timepoints]
 
 
 def coverage_counts(n_patches, l, stride):

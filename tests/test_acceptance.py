@@ -28,7 +28,6 @@ from esikit.nmm import (
 from esikit.sloreta import DEFAULT_LAMBDA, sloreta_solve, sloreta_solver
 
 SEED = 7
-RNG = np.random.Generator(np.random.PCG64(1234))
 
 pytestmark = pytest.mark.acceptance
 
@@ -275,7 +274,7 @@ def toy_experiment(tmp_path_factory):
     entries = load_manifest(manifest)
     cfg = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128, lr=1e-3)
     result = fm.train(entries, cfg, epochs=30, seed=SEED, out_dir=root / "train")
-    params, cfg2, _, _ = fm.load_checkpoint(root / "train" / "best")
+    params, cfg2, _ = fm.load_model(root / "train" / "best")
     solvers = {"fair": fm.fair_solver(params, cfg2),
                "sloreta": sloreta_solver(lf, DEFAULT_LAMBDA)}
     reports = {name: [] for name in solvers}
@@ -328,7 +327,7 @@ def test_criterion_8_ablation_harness(report, toy_experiment, capfd):
         cfg = replace(t["cfg"], **flags)
         out = t["root"] / f"abl_{name.replace(' ', '_')}"
         res = fm.train(t["entries"], cfg, epochs=3, seed=SEED, out_dir=out)
-        params, cfg2, _, _ = fm.load_checkpoint(res.checkpoint_dir)
+        params, cfg2, _ = fm.load_model(res.checkpoint_dir)
         agg = mx.aggregate([
             mx.evaluate(s_hat, sample, t["space"]) for sample, (s_hat,) in
             fm.solve_split(t["entries"], [fm.fair_solver(params, cfg2)], cfg2.n_regions)])

@@ -144,7 +144,7 @@ def test_spectral_refine_bits_do_not_depend_on_grid_layout(reweight):
     # extract_patches' grid is a gather, laid out (n_p, l, b, n_c) in memory;
     # the spectrum is built C-ordered, so its softmax sums take the bits of
     # a C-ordered grid whatever the grid's own layout
-    grid = extract_patches(RNG.standard_normal((3, 4, 32)), 8, 4).patches
+    grid = extract_patches(RNG.standard_normal((3, 4, 32)), 8, 4)
     assert not grid.flags.c_contiguous
     seed = RNG.standard_normal(grid.shape)
     results = []
@@ -193,7 +193,7 @@ def test_select_key_patch():
 def test_patch_refine_shape_preserved():
     params = fm.init_params(TOY, seed=0)
     grid = RNG.standard_normal((2, 4, 7, 8))
-    out = fm.patch_refine(ad.Var(grid), params, TOY)
+    out = fm.patch_refine(ad.Var(grid), params)
     assert out.shape == grid.shape
 
 
@@ -245,7 +245,7 @@ def test_patch_refine_split_conv_matches_broadcast_plane(n_p, n_blocks):
         for n in range(n_blocks):
             prefix = f"block{n}."
             if path == "split":
-                g = fm.patch_refine(g, pvars, cfg, prefix)
+                g = fm.patch_refine(g, pvars, prefix)
             else:
                 g = broadcast_patch_refine(g, pvars, prefix)
         ad.vsum(ad.mul(g, weights)).backward()
@@ -271,7 +271,7 @@ def test_fair_block_ablation_routing():
         fused = (fm.fuse(*views, cfg.alpha) if len(views) == 2
                  else views[0] if views else grid)
         assert fm.select_key_patch(fused.data).shape == (2, 4)
-        expected = fm.patch_refine(fused, params, cfg) if flags[2] else fused
+        expected = fm.patch_refine(fused, params) if flags[2] else fused
         out = fm.fair_block(grid, params, cfg)
         assert out.data.shape == grid.shape
         assert np.array_equal(out.data, expected.data), flags
@@ -317,6 +317,21 @@ def test_forward_rejects_wrong_dims():
         with pytest.raises(ParameterError,
                            match=f"fragment is {'x'.join(map(str, shape))},"):
             fm.forward(np.zeros(shape), params, TOY)
+
+
+def test_forward_checks_each_fragment_through_check_fragment(monkeypatch):
+    # the fragment rule lives in check_fragment alone: forward checks every
+    # fragment of a stack through it, and a lone fragment once
+    seen = []
+    check = fm.check_fragment
+    monkeypatch.setattr(fm, "check_fragment",
+                        lambda x, cfg: (seen.append(x.shape), check(x, cfg)))
+    params = fm.init_params(TOY, seed=1)
+    fm.forward(RNG.standard_normal((3, 4, 32)), params, TOY)
+    assert seen == [(4, 32)] * 3
+    seen.clear()
+    fm.forward(RNG.standard_normal((4, 32)), params, TOY)
+    assert seen == [(4, 32)]
 
 
 def test_forward_rejects_non_finite_fragment_in_batch():
