@@ -218,9 +218,13 @@ def _config_error(doc):
         return f"config invalid at {list(err[0])}: {err[2]}"
 
 
+def _no_constant(name):
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def load_config(path, seed_override=None):
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=_no_constant)
     except FileNotFoundError as err:
         raise DataError(f"config not found: {path}") from err
     except UnicodeDecodeError as err:

@@ -67,7 +67,7 @@ class FairConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must be in [0, 1]")
-        if self.tau <= 0:
+        if not self.tau > 0:   # NaN too
             raise ConfigError("tau must be > 0")
         for name in ("n_channels", "n_regions", "n_timepoints", "n_blocks",
                      "attention_dim", "mlp_hidden", "batch_size"):

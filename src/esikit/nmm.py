@@ -345,6 +345,8 @@ def load_sample(meta_path):
     if (X.ndim != 2 or S.ndim != 2 or X.shape[1] != S.shape[1] or not gt or not all(
             0 <= min(fp.regions) and max(fp.regions) < len(S) for fp in gt)):
         raise FormatError(f"{meta_path}: X, S and ground_truth do not fit together")
+    if not np.all(np.isfinite(S)):
+        raise FormatError(f"{meta_path}: S contains non-finite values")
     return PairedSample(X=X, S=S, ground_truth=gt, config=cfg)
 
 

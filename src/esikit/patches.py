@@ -8,7 +8,7 @@ l - overlap; merge is exact overlap-add divided by per-sample coverage.
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, ParameterError
+from .errors import ParameterError
 
 
 def padded_length(n_timepoints, l, stride):
@@ -55,12 +55,11 @@ def coverage_counts(n_patches, l, stride):
 def normalize_fragment(x):
     """Divide each fragment of (..., n_channels, n_timepoints) by its max
     absolute value; returns the stack and the per-fragment scales (...).
+    Takes finite fragments only: :func:`esikit.model.forward` checks first.
 
     An all-zero fragment passes unchanged with scale 0, so multiplying an
     estimate by the scale keeps it linear in the input down to zero.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise DataError("fragment contains non-finite values")
     scale = np.max(np.abs(x), axis=(-2, -1))
     return x / np.where(scale == 0.0, 1.0, scale)[..., None, None], scale

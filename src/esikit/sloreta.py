@@ -35,31 +35,20 @@ def check_fragment(X, lf):
         raise DataError("fragment contains non-finite values")
 
 
-def sloreta_operator(lf, lam=DEFAULT_LAMBDA):
-    """The standardized solve for one lead field, built once.
-
-    Returns ``solve(X)`` mapping a scalp fragment X (n_c x n_t) that
-    :func:`check_fragment` passes to its standardized source estimate; the
-    kernel and the resolution diagonal depend only on ``lf`` and ``lam``.
-    """
-    G = np.asarray(lf.matrix, dtype=np.float64)
+def sloreta_solver(lf, lam=DEFAULT_LAMBDA):
+    """sLORETA's ``(check, solve)`` pair for :func:`esikit.model.solve_split`,
+    built once per lead field: ``check`` is :func:`check_fragment`, and ``solve``
+    maps checked float64 fragments (n_c x n_t) to their standardized estimates."""
     T = minimum_norm_kernel(lf, lam)
-    r_diag = np.einsum("sc,cs->s", T, G)
+    r_diag = np.einsum("sc,cs->s", T, np.asarray(lf.matrix, dtype=np.float64))
     if np.any(r_diag <= 0):
         raise NumericalError("resolution matrix has non-positive diagonal")
     root = np.sqrt(r_diag)[:, None]
-    return lambda X: (T @ np.asarray(X, dtype=np.float64)) / root
-
-
-def sloreta_solver(lf, lam):
-    """sLORETA as :func:`esikit.model.solve_split` takes it: each fragment is
-    checked, then solved on its own by :func:`sloreta_operator`."""
-    solve = sloreta_operator(lf, lam)
-    return (lambda X: check_fragment(X, lf)), (lambda xs: [solve(X) for X in xs])
+    return (lambda X: check_fragment(X, lf)), (lambda xs: [(T @ X) / root for X in xs])
 
 
 def sloreta_solve(lf, X, lam=DEFAULT_LAMBDA):
     """Standardized source estimate for a scalp fragment X (n_c x n_t)."""
-    solve = sloreta_operator(lf, lam)   # a singular kernel raises before the check
-    check_fragment(X := np.asarray(X, dtype=np.float64), lf)
-    return solve(X)
+    check, solve = sloreta_solver(lf, lam)   # a singular kernel raises before the check
+    check(X := np.asarray(X, dtype=np.float64))
+    return solve([X])[0]

@@ -298,12 +298,39 @@ def test_eval_non_finite_estimate_is_numerical_error(experiment, tmp_path,
                                                     monkeypatch):
     _, config, _ = experiment
 
-    def nan_operator(lf, lam):
-        return lambda X: np.full((lf.matrix.shape[1], X.shape[1]), np.nan)
+    def nan_kernel(lf, lam):
+        return np.full(lf.matrix.T.shape, np.nan)
 
-    monkeypatch.setattr("esikit.sloreta.sloreta_operator", nan_operator)
+    monkeypatch.setattr(sloreta, "minimum_norm_kernel", nan_kernel)
     assert main(["eval", "--config", str(config), "--solver", "sloreta",
                  "--out", str(tmp_path / "e")]) == 4
+
+
+# one NaN in a sample's S: the sample is malformed data, as a misfit S is,
+# for every command that reads it, before any solver or loss sees it
+@pytest.mark.parametrize("command, split", [
+    ("eval_fair", "test"), ("eval_sloreta", "test"), ("train", "train"),
+])
+def test_non_finite_source_is_data_error(experiment, tmp_path, capsys, command,
+                                         split):
+    _, config, doc = experiment
+    run = tmp_path / "run"
+    shutil.copytree(doc["paths"]["workdir"], run)
+    sidecar = run / next(e["path"] for e in json.loads((run / "manifest.json").read_text())
+                         if e["split"] == split)
+    path = run / json.loads(sidecar.read_text())["S"]
+    S = load_tensor(path)
+    S[0, 0] = np.nan
+    save_tensor(S, path)
+    argv = {"eval_fair": ["eval", "--solver", "fair", "--checkpoint", str(run / "best")],
+            "eval_sloreta": ["eval", "--solver", "sloreta"], "train": ["train"]}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--config", str(config), "--manifest",
+                        str(run / "manifest.json"), "--out", str(out)]) == 3
+    assert f"{sidecar}: S contains non-finite values" in capsys.readouterr().err
+    assert not (out / "eval_summary.json").exists()
+    assert not (out / "train_log.csv").exists()
 
 
 def test_eval_sloreta_builds_kernel_once(experiment, tmp_path, monkeypatch):
@@ -450,6 +477,31 @@ def test_malformed_json_is_validation_error(tmp_path):
     assert main(["simulate", "--config", str(p)]) == 2
 
 
+# json.loads takes these non-standard constants, and NaN passes every
+# schema bound, so they are refused while the file is parsed
+@pytest.mark.parametrize("command, section, key", [
+    ("simulate", "simulation", "sample_rate"),
+    ("train", "model", "tau"),
+])
+def test_nan_in_config_is_validation_error(experiment, tmp_path, capsys, command,
+                                           section, key):
+    _, _, doc = experiment
+    config, _ = make_config(tmp_path, **{section: {**doc[section], key: float("nan")}})
+    assert "NaN" in config.read_text()
+    manifest = ["--manifest", str(Path(doc["paths"]["workdir"]) / "manifest.json")]
+    capsys.readouterr()
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]
+                + (manifest if command == "train" else [])) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: config is not valid JSON: NaN is not a JSON number")
+    assert not (tmp_path / "out").exists()
+    for constant in ("Infinity", "-Infinity"):
+        config.write_text(config.read_text().replace("NaN", constant))
+        with pytest.raises(ConfigError, match=f"{constant} is not a JSON number"):
+            load_config(config)
+        config.write_text(config.read_text().replace(constant, "NaN"))
+
+
 def test_non_utf8_config_is_validation_error(tmp_path):
     p = tmp_path / "c.json"
     p.write_bytes(b"\xff\xfe")
@@ -531,10 +583,12 @@ def _first(doc, change):
 
 # valid JSON of the wrong shape for each of JSON_INPUTS: a required key
 # dropped, then a value retyped (the manifest's dropped key is already caught
-# by test_malformed_manifest_is_data_error; its retyped path and split are not)
+# by test_malformed_manifest_is_data_error; its retyped path and split are not);
+# for model.json also a NaN tau, which json writes and reads as a literal
 WRONG_SHAPES = {
     "model.json": [lambda d: _without(d, "config"), lambda d: dict(d, config=[]),
-                   lambda d: dict(d, epoch="3")],
+                   lambda d: dict(d, epoch="3"),
+                   lambda d: dict(d, config=dict(d["config"], tau=float("nan")))],
     "adam_state.json": [lambda d: _without(d, "step"), lambda d: dict(d, lr="fast")],
     "index.json": [lambda d: _first(d, lambda e: _without(e, "file")),
                    lambda d: _first(d, lambda e: dict(e, dims=5)),

@@ -68,6 +68,12 @@ def test_config_validation():
     assert cfg.upsample_kernel == 4
 
 
+def test_config_rejects_nan_tau():
+    # NaN fails every comparison, so "reject if tau <= 0" would let it through
+    with pytest.raises(ConfigError, match="tau must be > 0"):
+        fm.FairConfig(n_channels=4, n_regions=8, n_timepoints=32, tau=float("nan"))
+
+
 def test_paper_hyperparameter_defaults():
     cfg = fm.FairConfig(n_channels=32, n_regions=64, n_timepoints=128)
     assert cfg.patch_len == 16 and cfg.overlap == 8

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esikit import autodiff as ad
-from esikit.errors import DataError, ParameterError
+from esikit.errors import ParameterError
 from esikit.patches import (
     extract_patches,
     merge_patches,
@@ -142,10 +142,3 @@ def test_normalize_stack_rows_match_lone_fragments():
         xi, si = normalize_fragment(x[i])
         assert np.array_equal(xn[i], xi)
         assert scale[i] == si
-
-
-def test_normalize_rejects_non_finite():
-    with pytest.raises(DataError):
-        normalize_fragment(np.array([[1.0, np.nan]]))
-    with pytest.raises(DataError):
-        normalize_fragment(np.array([[np.inf, 0.0]]))

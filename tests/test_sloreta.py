@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from esikit.geometry import LeadField, build_lead_field, build_synthetic_source_
 from esikit.sloreta import (
     DEFAULT_LAMBDA,
     minimum_norm_kernel,
-    sloreta_operator,
     sloreta_solve,
+    sloreta_solver,
 )
 
 RNG = np.random.Generator(np.random.PCG64(17))
@@ -89,11 +91,11 @@ def per_fragment_sloreta(lf, X, lam):
 @pytest.mark.parametrize("lam", [0.0, 1e-6, DEFAULT_LAMBDA, 2.0])
 def test_operator_matches_solve_bitwise(system, lam):
     _, lf = system
-    solve = sloreta_operator(lf, lam)
-    for n_t in (1, 10, 32):
-        X = RNG.standard_normal((8, n_t))
-        assert np.array_equal(solve(X), sloreta_solve(lf, X, lam))
-        assert np.array_equal(solve(X), per_fragment_sloreta(lf, X, lam))
+    _, solve = sloreta_solver(lf, lam)
+    xs = [RNG.standard_normal((8, n_t)) for n_t in (1, 10, 32)]
+    for X, est in zip(xs, solve(xs), strict=True):
+        assert np.array_equal(est, sloreta_solve(lf, X, lam))
+        assert np.array_equal(est, per_fragment_sloreta(lf, X, lam))
 
 
 def test_operator_rank_deficient_lambda_zero_same_error():
@@ -102,11 +104,14 @@ def test_operator_rank_deficient_lambda_zero_same_error():
     X = RNG.standard_normal((2, 3))
     with pytest.raises(NumericalError) as via_solve:
         sloreta_solve(lf, X, lam=0.0)
-    with pytest.raises(NumericalError) as via_operator:
-        sloreta_operator(lf, 0.0)(X)
-    assert str(via_operator.value) == str(via_solve.value)
+    with pytest.raises(NumericalError) as via_solver:
+        sloreta_solver(lf, 0.0)
+    assert str(via_solver.value) == str(via_solve.value)
+    # a singular kernel raises before a bad fragment is looked at
+    with pytest.raises(NumericalError, match=re.escape(str(via_solve.value))):
+        sloreta_solve(lf, np.full((5, 3), np.nan), lam=0.0)
     # a ridge makes the same lead field solvable, identically on both paths
-    assert np.array_equal(sloreta_operator(lf, 0.1)(X),
+    assert np.array_equal(sloreta_solver(lf, 0.1)[1]([X])[0],
                           sloreta_solve(lf, X, lam=0.1))
 
 
@@ -114,3 +119,6 @@ def test_operator_channel_mismatch(system):
     _, lf = system
     with pytest.raises(ParameterError, match="7 channels, lead field has 8"):
         sloreta_solve(lf, np.zeros((7, 4)))
+    check, _ = sloreta_solver(lf)
+    with pytest.raises(ParameterError, match="7 channels, lead field has 8"):
+        check(np.zeros((7, 4)))
