@@ -157,7 +157,7 @@ def save_source_space(space, path):
 def load_source_space(path):
     def parse(doc):
         space = SourceSpace(
-            centroids=np.asarray(doc["centroids"], dtype=np.float64),
+            centroids=np.asarray_chkfinite(doc["centroids"], dtype=np.float64),
             adjacency=tuple(tuple(map(operator.index, a)) for a in doc["adjacency"]))
         n = len(space.adjacency)
         if space.centroids.shape != (n, 3) or not all(

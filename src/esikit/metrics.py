@@ -30,18 +30,17 @@ class MetricReport:
 
 def region_energy(s_hat):
     s_hat = np.asarray(s_hat, dtype=np.float64)
-    return np.sum(s_hat * s_hat, axis=-1)
+    return (s_hat * s_hat).sum(axis=-1)
 
 
 def threshold_active(s_hat, threshold=DEFAULT_THRESHOLD):
     """Regions whose energy reaches ``threshold`` times the max energy."""
-    return _active(region_energy(s_hat), threshold)
+    return _active(e := region_energy(s_hat), e.max(), threshold)
 
 
-def _active(e, threshold):
-    if not np.all(np.isfinite(e)):
+def _active(e, peak, threshold):
+    if not np.isfinite(peak):   # NaN propagates through the max; an overflow reads inf
         raise NumericalError("estimate contains non-finite values")
-    peak = e.max()
     if peak == 0.0:
         return set()
     return set(np.flatnonzero(e >= threshold * peak).tolist())
@@ -61,22 +60,21 @@ def precision_recall(est, gt):
 
 def peak_region(s_hat):
     """Index of the max-energy region (smallest index on ties)."""
-    return _peak(region_energy(s_hat))
+    return _peak(e := region_energy(s_hat), e.max())
 
 
-def _peak(e):
-    if e.max() == 0.0:
+def _peak(e, peak):
+    if peak == 0.0:
         raise UndefinedResultError("all-zero estimate has no peak region")
-    return int(np.argmax(e))
+    return int(e.argmax())
 
 
 def localization_error(s_hat, gt, space):
     """Distance (mm) from the peak region to the nearest ground-truth centroid."""
-    return _localization_error(region_energy(s_hat), gt, space)
+    return _localization_error(peak_region(s_hat), gt, space)
 
 
-def _localization_error(e, gt, space):
-    peak = _peak(e)
+def _localization_error(peak, gt, space):
     gt = set(gt)
     if not gt:
         raise ParameterError("ground truth must be non-empty")
@@ -88,36 +86,38 @@ def _localization_error(e, gt, space):
 
 def spatial_dispersion(s_hat, gt, space):
     """Energy-weighted RMS distance (mm) of the estimate to the ground truth."""
-    return _spatial_dispersion(region_energy(s_hat), gt, space)
+    return _spatial_dispersion(e := region_energy(s_hat), e.max(), gt, space)
 
 
-def _spatial_dispersion(e, gt, space):
-    if e.max() == 0.0:
+def _spatial_dispersion(e, peak, gt, space):
+    if peak == 0.0:
         raise UndefinedResultError("all-zero estimate has no spatial dispersion")
     gt = sorted(set(gt))
-    d = np.min(space.centroid_distances[:, gt], axis=1)
+    d = space.centroid_distances[:, gt].min(axis=1)
     d[gt] = 0.0
-    return float(np.sqrt(np.sum(d * d * e) / np.sum(e)))
+    return float(np.sqrt((d * d * e).sum() / e.sum()))
 
 
 def nmse(s_hat, s_true):
     """Squared Frobenius error normalized by the ground-truth energy."""
     s_true = np.asarray(s_true, dtype=np.float64)
-    denom = float(np.sum(s_true * s_true))
+    sq = s_true * s_true
+    denom = float(sq.sum())
     if denom == 0.0:
         raise ParameterError("nmse undefined for a zero ground truth")
-    diff = np.asarray(s_hat, dtype=np.float64) - s_true
-    return float(np.sum(diff * diff) / denom)
+    diff = np.subtract(np.asarray(s_hat, dtype=np.float64), s_true, out=sq)
+    return float(np.multiply(diff, diff, out=diff).sum() / denom)
 
 
 def evaluate(s_hat, sample, space, threshold=DEFAULT_THRESHOLD):
     """All five metrics for one solver output against one sample."""
     gt_union = set().union(*(fp.regions for fp in sample.ground_truth))
     e = region_energy(s_hat)
-    precision, recall = precision_recall(_active(e, threshold), gt_union)
+    peak = e.max()
+    precision, recall = precision_recall(_active(e, peak, threshold), gt_union)
     try:
-        le = _localization_error(e, gt_union, space)
-        sd = _spatial_dispersion(e, gt_union, space)
+        le = _localization_error(_peak(e, peak), gt_union, space)
+        sd = _spatial_dispersion(e, peak, gt_union, space)
         undefined = False
     except UndefinedResultError:
         le, sd, undefined = None, None, True

@@ -453,6 +453,8 @@ def load_checkpoint(in_dir):
         return params, cfg, epoch, None
     adam_state = read_json(in_dir / "adam_state.json", lambda doc: AdamState(
         **{k: float(doc[k]) for k in _ADAM_SCALARS}, step=operator.index(doc["step"])))
+    if not np.isfinite([getattr(adam_state, k) for k in _ADAM_SCALARS]).all():
+        raise FormatError(f"{in_dir / 'adam_state.json'}: Adam scalars must be finite")
     moments = load_tensor_dir(in_dir / "adam_moments")
     adam_state.m, adam_state.v = ({k[2:]: v.astype(np.float64) for k, v in moments.items()
                                    if k[:2] == kind} for kind in ("m/", "v/"))

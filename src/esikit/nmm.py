@@ -18,13 +18,14 @@ import json
 import math
 import operator
 from dataclasses import dataclass, asdict, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, FormatError, InstabilityError, ParameterError, PlacementError
 from .geometry import RegionSet, grow_patch, hop_distances
-from .tensorio import load_tensor, read_json, save_tensor
+from .tensorio import load_tensor, path_str, read_json, save_tensor
 
 INPUT_DT = 1e-3           # resolution of the piecewise-constant input drive
 HOP_DECAY = 0.7           # per-hop amplitude factor inside an extended source
@@ -106,7 +107,6 @@ def simulate_jansen_rit(params, n_timepoints, sample_rate, seed):
     if p.input_pulse_rate > 0.0:
         pulses = rng.random(n_inputs) < p.input_pulse_rate * INPUT_DT
         drive = drive + p.input_pulse_amp * pulses
-    drive = drive.tolist()
     # Loop-invariant factors are hoisted without changing the association of
     # any product, so the waveform keeps the bits of the textbook form
     #   y0' = y3, y1' = y4, y2' = y5,
@@ -130,6 +130,7 @@ def simulate_jansen_rit(params, n_timepoints, sample_rate, seed):
     # below, capped at n_timepoints, then a -1 sentinel no step reaches), and
     # drive_at holds each step's piecewise-constant input. The index must stay
     # k * (dt / INPUT_DT): (k * dt) / INPUT_DT rounds differently at some k.
+    # Repeating each input over its steps keeps one float per input, not per step.
     steps_per_sample = 1.0 / (sample_rate * dt)
     next_sample = p.burn_in / dt
     record_at = []
@@ -141,7 +142,8 @@ def simulate_jansen_rit(params, n_timepoints, sample_rate, seed):
             next_sample += steps_per_sample
     record_at.append(-1)
     dt_over_input = dt / INPUT_DT
-    drive_at = [drive[int(k * dt_over_input)] for k in range(n_steps + 1)]
+    steps_per_input = np.bincount((np.arange(n_steps + 1) * dt_over_input).astype(np.intp))
+    drive_at = list(chain.from_iterable(map(repeat, drive.tolist(), steps_per_input.tolist())))
 
     y0 = y1 = y2 = y3 = y4 = y5 = 0.0
     samples = []
@@ -336,16 +338,16 @@ def save_sample(sample, stem):
 
 
 def load_sample(meta_path):
-    meta_path = Path(meta_path)
+    meta_path = path_str(meta_path)
     x_path, s_path, gt, cfg = read_json(meta_path, lambda meta: (
-        meta_path.parent / meta["X"], meta_path.parent / meta["S"],
+        path_str(meta_path, meta["X"]), path_str(meta_path, meta["S"]),
         tuple(RegionSet(frozenset(map(operator.index, r))) for r in meta["ground_truth"]),
         config_from_dict(meta["config"])))
     X, S = (load_tensor(p).astype(np.float64) for p in (x_path, s_path))
     if (X.ndim != 2 or S.ndim != 2 or X.shape[1] != S.shape[1] or not gt or not all(
             0 <= min(fp.regions) and max(fp.regions) < len(S) for fp in gt)):
         raise FormatError(f"{meta_path}: X, S and ground_truth do not fit together")
-    if not np.all(np.isfinite(S)):
+    if not np.isfinite(S).all():
         raise FormatError(f"{meta_path}: S contains non-finite values")
     return PairedSample(X=X, S=S, ground_truth=gt, config=cfg)
 
@@ -374,7 +376,7 @@ def generate_dataset(space, lf, cfg_grid, n_samples, out_dir, seed_base=0):
 
 
 def load_manifest(manifest_path):
-    manifest_path = Path(manifest_path)
+    manifest_path = path_str(manifest_path)
 
     def parse(entries):
         if not isinstance(entries, list):
@@ -383,7 +385,7 @@ def load_manifest(manifest_path):
             if not (isinstance(e, dict) and "path" in e
                     and e.get("split") in ("train", "val", "test")):
                 raise FormatError(f"{manifest_path}: entry {i} lacks 'path' or 'split'")
-            e["path"] = str(manifest_path.parent / e["path"])
+            e["path"] = path_str(manifest_path, e["path"])
         return entries
     return read_json(manifest_path, parse)
 

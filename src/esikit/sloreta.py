@@ -31,7 +31,7 @@ def check_fragment(X, lf):
     if X.shape[0] != len(lf.matrix):
         raise ParameterError(
             f"fragment has {X.shape[0]} channels, lead field has {len(lf.matrix)}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise DataError("fragment contains non-finite values")
 
 
@@ -44,7 +44,8 @@ def sloreta_solver(lf, lam=DEFAULT_LAMBDA):
     if np.any(r_diag <= 0):
         raise NumericalError("resolution matrix has non-positive diagonal")
     root = np.sqrt(r_diag)[:, None]
-    return (lambda X: check_fragment(X, lf)), (lambda xs: [(T @ X) / root for X in xs])
+    return ((lambda X: check_fragment(X, lf)),
+            lambda xs: [np.divide(y := T @ X, root, out=y) for X in xs])
 
 
 def sloreta_solve(lf, X, lam=DEFAULT_LAMBDA):

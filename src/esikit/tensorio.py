@@ -5,7 +5,9 @@ dims as u32 little-endian, payload float32 little-endian row-major.
 """
 
 import json
+import math
 import operator
+import os
 import struct
 from pathlib import Path
 
@@ -17,11 +19,23 @@ MAGIC = b"ESIT"
 VERSION = 1
 
 
+def path_str(path, *sibling):
+    """``str(Path(path))``, or ``str(Path(path).parent / sibling)``; plain strs skip pathlib."""
+    if isinstance(path, str) and os.path.normpath(path) == path and all(
+            isinstance(s, str) and "/" not in s and s not in ("", ".") for s in sibling):
+        return path[:path.rfind("/") + 1] + sibling[0] if sibling else path
+    return str(Path(path).parent / sibling[0] if sibling else Path(path))
+
+
 def read_json(path, parse):
-    """``parse(doc)`` of JSON file ``path``; FormatError naming the file if it is
-    not UTF-8 JSON or ``parse`` raises KeyError, IndexError, TypeError or ValueError."""
+    """``parse(doc)`` of JSON file ``path``; FormatError naming the file if it is not
+    UTF-8 JSON, holds NaN or Infinity, or ``parse`` raises Key-, Index-, Type- or ValueError."""
+    def no_constant(name):
+        raise FormatError(f"{path}: not valid JSON: {name} is not a JSON number")
     try:
-        return parse(json.loads(Path(path).read_text()))
+        with open(path_str(path), "rb", buffering=0) as fh:   # decoded as a text-mode read
+            text = fh.read().decode().replace("\r\n", "\n").replace("\r", "\n")
+        return parse(json.loads(text, parse_constant=no_constant))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"{path}: not valid JSON: {err}") from err
     except (KeyError, IndexError, TypeError, ValueError) as err:
@@ -41,8 +55,8 @@ def save_tensor(arr, path):
 
 def load_tensor(path):
     """Read an ESIT tensor file, returning a float32 ndarray."""
-    path = Path(path)
-    raw = path.read_bytes()
+    with open(path := path_str(path), "rb", buffering=0) as fh:
+        raw = fh.read()
     if len(raw) < 6 or raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic, not an ESIT tensor file")
     version, rank = struct.unpack_from("<BB", raw, 4)
@@ -52,13 +66,11 @@ def load_tensor(path):
     if len(raw) < header_end:
         raise FormatError(f"{path}: truncated header")
     dims = struct.unpack_from("<%dI" % rank, raw, 6)
-    n_expected = int(np.prod(dims)) if rank else 1
-    payload = raw[header_end:]
-    if len(payload) != 4 * n_expected:
-        raise FormatError(
-            f"{path}: payload holds {len(payload) // 4} values, header says {n_expected}"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    n_expected = math.prod(dims)
+    if len(raw) - header_end != 4 * n_expected:
+        raise FormatError(f"{path}: payload holds {(len(raw) - header_end) // 4} "
+                          f"values, header says {n_expected}")
+    return np.frombuffer(raw, "<f4", n_expected, header_end).reshape(dims).copy()
 
 
 def save_tensor_dir(tensors, out_dir):
@@ -78,8 +90,9 @@ def load_tensor_dir(in_dir):
     in_dir = Path(in_dir)
     if not (in_dir / "index.json").exists():
         raise FormatError(f"{in_dir}: missing index.json")
-    index = read_json(in_dir / "index.json", lambda doc: {
-        name: (in_dir / entry["file"], tuple(map(operator.index, entry["dims"])))
+    index_path = path_str(in_dir / "index.json")
+    index = read_json(index_path, lambda doc: {
+        name: (path_str(index_path, entry["file"]), tuple(map(operator.index, entry["dims"])))
         for name, entry in dict(doc).items()})
     out = {}
     for name, (path, dims) in index.items():

@@ -616,7 +616,68 @@ def test_wrong_shape_json_input_is_data_error(experiment, tmp_path, capsys, name
         assert str(path) in capsys.readouterr().err, k
 
 
-# an 8-region space.json (with or without its own 8-region lead field) next to
+def _first_number(doc, value):
+    """``doc`` with its first number (not a bool) replaced by ``value``."""
+    where = next(w for w, v in _json_nodes(doc)
+                 if isinstance(v, (int, float)) and not isinstance(v, bool))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(JSON_INPUTS))
+def test_nan_or_infinity_in_json_input_is_data_error(experiment, tmp_path, capsys, name):
+    # json writes and reads these three literals, but they are not JSON numbers
+    _, config, doc = experiment
+    locate, command = JSON_INPUTS[name]
+    for literal in ["NaN", "Infinity", "-Infinity"]:
+        run = tmp_path / f"run{literal}"
+        shutil.copytree(doc["paths"]["workdir"], run)
+        path = locate(run)
+        path.write_text(json.dumps(_first_number(json.loads(path.read_text()),
+                                                 float(literal))))
+        assert literal in path.read_text()
+        capsys.readouterr()
+        assert _read_run(command, config, run, tmp_path / f"out{literal}") == 3, literal
+        err = capsys.readouterr().err
+        assert f"{path}: not valid JSON: {literal} is not a JSON number" in err, err
+
+
+def test_infinite_centroid_is_data_error(experiment, tmp_path, capsys):
+    # 1e400 is a JSON number, and Python reads it as inf
+    _, config, doc = experiment
+    run = tmp_path / "run"
+    shutil.copytree(doc["paths"]["workdir"], run)
+    space = json.loads((run / "space.json").read_text())
+    (run / "space.json").write_text(json.dumps(_first_number(space, 0.5)).replace(
+        "0.5", "1e400", 1))
+    capsys.readouterr()
+    assert _read_run("eval_sloreta", config, run, tmp_path / "out") == 3
+    assert f"{run / 'space.json'}: malformed: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "eval_summary.json").exists()
+
+
+@pytest.mark.parametrize("key, text", [("lr", '"nan"'), ("lr", "1e400"),
+                                       ("beta2", '"-inf"'), ("eps", "-1e400"),
+                                       ("weight_decay", '"NaN"')])
+def test_non_finite_adam_scalar_is_data_error(experiment, tmp_path, capsys, key, text):
+    # float() reads each of these as NaN or inf; training on one would only
+    # fail an epoch later, on a non-finite loss
+    _, config, doc = experiment
+    run = tmp_path / "run"
+    shutil.copytree(doc["paths"]["workdir"], run)
+    path = run / "best" / "adam_state.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: "@"})).replace(
+        '"@"', text))
+    capsys.readouterr()
+    assert _read_run("train", config, run, tmp_path / "out") == 3
+    assert f"{path}: Adam scalars must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "train_log.csv").exists()
+
+
+
 # the experiment's 16-region samples, lead field and checkpoint; each case
 # names the file whose region count disagrees first
 @pytest.mark.parametrize("command, own_lead_field, named", [

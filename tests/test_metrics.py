@@ -221,6 +221,22 @@ def test_evaluate_non_finite_estimate_is_numerical_error():
         evaluate(s_hat, make_sample(space, s, [3]), space)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, 1e200],
+                         ids=["inf", "minus_inf", "energy_overflows"])
+def test_evaluate_infinite_energy_is_numerical_error(value):
+    # 1e200 is finite, but its square, and so its region's energy, is not
+    space = build_synthetic_source_space(8, 2, seed=0)
+    s = np.zeros((8, 32))
+    s[3] = 1.0
+    s_hat = s.copy()
+    s_hat[5, 7] = value
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            evaluate(s_hat, make_sample(space, s, [3]), space)
+        with pytest.raises(NumericalError, match="non-finite"):
+            threshold_active(s_hat)
+
+
 def reference_evaluate(s_hat, sample, space, threshold=0.5):
     """The five metrics written out, with SD's distances to the ground truth
     computed from the centroids."""

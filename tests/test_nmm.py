@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +285,55 @@ def test_load_sample_parts_must_fit_together(tmp_path, space, lf, malform):
     meta = save_sample(malform(sample), tmp_path / "s0")
     with pytest.raises(FormatError, match="do not fit together"):
         load_sample(meta)
+
+
+def _pathlib_error(meta_path, name):
+    """The TypeError pathlib raises on joining ``name`` to ``meta_path``'s
+    directory, or None."""
+    try:
+        Path(meta_path).parent / name
+    except TypeError as err:
+        return err
+
+
+def test_manifest_and_sidecar_paths_read_as_pathlib_writes_them(tmp_path, space, lf,
+                                                                monkeypatch):
+    manifest = generate_dataset(space, lf, [cfg(space)], 12, tmp_path / "d",
+                                seed_base=100)
+    doc = json.loads(manifest.read_text())
+    names = [e["path"] for e in doc]
+    for e, spelled in zip(doc, ["./{}", ".//{}", "sub/../{}", "{}/", "./sub/./../{}"]):
+        e["path"] = spelled.format(e["path"])
+    doc[5]["path"] = str(manifest.parent / names[5])
+    odd = manifest.parent / "odd.json"
+    odd.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    for given in [odd, str(odd), f"{tmp_path}//d/./odd.json", "d/odd.json", "./d//odd.json"]:
+        paths = [e["path"] for e in load_manifest(given)]
+        assert paths == [str(Path(given).parent / e["path"]) for e in doc], given
+        assert load_sample(paths[0]).config.seed == 100
+    # a corrupt sidecar behind a "./" entry is named as pathlib names it
+    sidecar = manifest.parent / names[0]
+    good = sidecar.read_text()
+    for given in [load_manifest("./d/odd.json")[0]["path"], f"./d/{names[0]}",
+                  f"d//{names[0]}", Path("d", names[0])]:
+        sidecar.write_text(good[:-5])
+        with pytest.raises(FormatError) as err:
+            load_sample(given)
+        assert str(err.value).startswith(f"{Path(given)}: not valid JSON: "), given
+        for x in ["./" + names[0].replace(".json", ".X.esit"), "", ".", 5, None, ["x"]]:
+            sidecar.write_text(json.dumps(dict(json.loads(good), X=x)))
+            if isinstance(x, str) and x not in ("", "."):   # the X file, as pathlib spells it
+                assert load_sample(given).X.shape == (16, 32)
+                continue
+            with pytest.raises((FormatError, IsADirectoryError)) as err:
+                load_sample(given)
+            if x in ("", "."):   # the sample's own directory
+                assert str(err.value).endswith(f": '{Path(given).parent}'"), given
+            else:
+                want = _pathlib_error(given, x)
+                assert str(err.value) == f"{Path(given)}: malformed: {want!r}", given
+    sidecar.write_text(good)
 
 
 def test_generate_dataset_counts_and_manifest(tmp_path, space, lf):
